@@ -18,9 +18,9 @@ from neighborprune import (
     compute_small_loss_scores,
     generate_synthetic,
     measure_expansion_separation,
+    select_by_score,
     select_kcenter_greedy,
     select_prune4rel,
-    select_small_loss,
     select_uniform,
 )
 
@@ -77,7 +77,7 @@ losses = compute_small_loss_scores(dataset.probabilities, dataset.noisy_labels)
 competitors = {
     "neighborhood greedy": report.selected,
     "uniform": select_uniform(m, s, seed=7),
-    "small loss": select_small_loss(losses, s),
+    "small loss": select_by_score(losses, s, "ascending"),
     "kcenter greedy": select_kcenter_greedy(dataset.embeddings, s, seed=7),
 }
 print(f"\nnoise ratio inside each {budget:.0%} subset (population 20%):")

@@ -16,7 +16,6 @@ from .dataset import (
     FormatError,
     compute_confidence,
     compute_small_loss_scores,
-    load_embeddings,
     load_external_confidence,
     load_labels,
     load_matrix,
@@ -41,15 +40,10 @@ from .selectors import (
     resolve_budget,
     run_selection,
     select_by_score,
-    select_forgetting,
-    select_grand,
     select_kcenter_greedy,
     select_margin,
     select_moderate,
     select_prune4rel,
-    select_prune4rel_balanced,
-    select_small_loss,
-    select_ssp,
     select_uniform,
 )
 from .similarity import (

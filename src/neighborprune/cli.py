@@ -35,11 +35,13 @@ from .dataset import (
 )
 from .objective import Utility
 from .selectors import (
+    METHOD_TABLE,
     METHODS,
     TAU_PRESETS,
     PruneReport,
     SelectorConfig,
     load_selected,
+    requirement_error,
     resolve_budget,
     run_selection,
     write_selected,
@@ -84,8 +86,41 @@ def _input_digests(paths: dict[str, str | None]) -> dict[str, str]:
 # prune
 # ---------------------------------------------------------------------------
 
+# Selector input (see selectors.METHOD_TABLE) -> the prune flag supplying it.
+# The greedy's confidence comes from --confidence-file instead when
+# --confidence-metric is external.
+INPUT_FLAGS = {
+    "embeddings": "--embeddings",
+    "graph": "--tau",
+    "confidence": "--probs",
+    "noisy_labels": "--labels",
+    "probabilities": "--probs",
+    "scores": "--scores",
+}
+
+
+def method_inputs_help() -> str:
+    """The flags each method reads, one method per line, from the table."""
+    lines = ["method inputs (--tau may come from --preset):"]
+    for method, spec in METHOD_TABLE.items():
+        text = " + ".join(INPUT_FLAGS[name] for name in spec.inputs) or "(none)"
+        if spec.score_kind is not None and "scores" not in spec.inputs:
+            text += ", or --scores"
+        lines.append(f"  {method:<20}{text}")
+    lines.append(
+        "greedy confidence: --probs with --confidence-metric max_prob|diff_prob,"
+    )
+    lines.append("  or --confidence-file with --confidence-metric external")
+    return "\n".join(lines)
+
+
 def _add_prune_parser(sub) -> None:
-    p = sub.add_parser("prune", help="select a subset and write indices + report")
+    p = sub.add_parser(
+        "prune",
+        help="select a subset and write indices + report",
+        epilog=method_inputs_help(),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
     p.add_argument("--embeddings", required=True, help="embedding matrix file")
     p.add_argument("--embeddings-format", choices=("binary", "csv"), default="binary")
     p.add_argument("--method", required=True, choices=METHODS)
@@ -122,35 +157,22 @@ def _add_prune_parser(sub) -> None:
 
 def cmd_prune(args) -> int:
     method = args.method
-    needs_graph = method in ("prune4rel", "prune4rel_balanced")
+    spec = METHOD_TABLE[method]
+    needs_graph = "graph" in spec.inputs
     tau = args.tau
     if tau is None and args.preset:
         tau = TAU_PRESETS[args.preset]
-    if needs_graph and tau is None:
-        raise CliError(f"--tau is required for method {method}")
-    scores_kind = {"forgetting": "forgetting_events", "grand": "grad_norm",
-                   "ssp": "ssp_prototypicality", "small_loss": "loss"}
-    if method in ("forgetting", "grand", "ssp") and args.scores is None:
-        raise CliError(f"--scores is required for method {method}")
-    if method == "margin" and args.probs is None:
-        raise CliError("--probs is required for method margin")
-    if method == "small_loss" and args.scores is None:
-        if args.probs is None:
-            raise CliError("--probs (or --scores) is required for method small_loss")
-        if args.labels is None:
-            raise CliError("--labels (or --scores) is required for method small_loss")
-    if method in ("prune4rel_balanced", "moderate") and args.labels is None:
-        raise CliError(f"--labels is required for method {method}")
-    if needs_graph:
-        if args.confidence_metric == "external":
-            if args.confidence_file is None:
-                raise CliError(
-                    "--confidence-file is required with --confidence-metric external"
-                )
-        elif args.probs is None:
-            raise CliError(
-                f"--probs is required to derive {args.confidence_metric} confidence"
-            )
+    flags = dict(INPUT_FLAGS)
+    if args.confidence_metric == "external":
+        flags["confidence"] = "--confidence-file"
+    values = vars(args) | {"tau": tau}  # argparse keeps --foo-bar as foo_bar
+    supplied = {
+        name for name, flag in flags.items()
+        if values[flag[2:].replace("-", "_")] is not None
+    }
+    problem = requirement_error(method, supplied, spell=flags.get)
+    if problem:
+        raise CliError(problem)
 
     embeddings = load_matrix(args.embeddings, args.embeddings_format)
     probabilities = (
@@ -158,7 +180,7 @@ def cmd_prune(args) -> int:
     )
     noisy_labels = load_labels(args.labels) if args.labels else None
     scores = (
-        load_scores(args.scores, scores_kind.get(method, "loss"))
+        load_scores(args.scores, spec.score_kind or "loss")
         if args.scores
         else None
     )
@@ -197,12 +219,10 @@ def cmd_prune(args) -> int:
         )
         graph_build_s = time.perf_counter() - start
 
-    num_classes = int(noisy_labels.max()) + 1 if noisy_labels is not None else None
     report = run_selection(
         config,
         embeddings=embeddings,
         noisy_labels=noisy_labels,
-        num_classes=num_classes,
         probabilities=probabilities,
         confidence=confidence,
         scores=scores,

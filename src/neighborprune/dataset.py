@@ -129,11 +129,6 @@ def _load_matrix_csv(path: Path) -> np.ndarray:
     return matrix
 
 
-def load_embeddings(path: str | Path, fmt: str = "binary") -> np.ndarray:
-    """Load an embedding matrix (m rows, d components)."""
-    return load_matrix(path, fmt)
-
-
 def load_probabilities(path: str | Path, fmt: str = "binary") -> np.ndarray:
     """Load a class-probability matrix (m rows, c classes) and validate rows."""
     probs = load_matrix(path, fmt)

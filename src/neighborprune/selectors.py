@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import AuxScores, Dataset, compute_small_loss_scores
+from .dataset import AuxScores, Dataset, _validate_probabilities, compute_small_loss_scores
 from .objective import (
     SelectionState,
     Utility,
@@ -34,22 +34,53 @@ from .objective import (
 )
 from .similarity import NeighborGraph
 
-METHODS = (
-    "prune4rel",
-    "prune4rel_balanced",
-    "uniform",
-    "small_loss",
-    "margin",
-    "kcenter_greedy",
-    "forgetting",
-    "grand",
-    "moderate",
-    "ssp",
-)
+
+@dataclass(frozen=True)
+class MethodSpec:
+    """The inputs a selection method reads, all required and reported in
+    this order when missing; for score-ranking methods also the score kind
+    and the sort direction. A score method given its scores directly needs
+    none of its other inputs (small_loss otherwise derives its losses from
+    probabilities and labels)."""
+
+    inputs: tuple[str, ...] = ()
+    score_kind: str | None = None
+    direction: str | None = None
+
+
+METHOD_TABLE = {
+    "prune4rel": MethodSpec(("graph", "confidence")),
+    "prune4rel_balanced": MethodSpec(("graph", "noisy_labels", "confidence")),
+    "uniform": MethodSpec(),
+    "small_loss": MethodSpec(("probabilities", "noisy_labels"), "loss", "ascending"),
+    "margin": MethodSpec(("probabilities",)),
+    "kcenter_greedy": MethodSpec(("embeddings",)),
+    "forgetting": MethodSpec(("scores",), "forgetting_events", "descending"),
+    "grand": MethodSpec(("scores",), "grad_norm", "descending"),
+    "moderate": MethodSpec(("embeddings", "noisy_labels")),
+    "ssp": MethodSpec(("scores",), "ssp_prototypicality", "descending"),
+}
+METHODS = tuple(METHOD_TABLE)
+GREEDY_METHODS = ("prune4rel", "prune4rel_balanced")
 GAIN_MODES = ("paper_faithful", "exact_marginal")
 
 # Neighborhood-threshold presets as shipped configuration.
 TAU_PRESETS = {"cifar10n": 0.975, "cifar100n": 0.95, "clothing1m": 0.8}
+
+
+def requirement_error(method: str, available, spell=str) -> str | None:
+    """None when `available` holds every input `method` reads, otherwise a
+    sentence naming the missing ones, each written as spell(input)."""
+    spec = METHOD_TABLE[method]
+    if spec.score_kind is not None and "scores" in available:
+        return None
+    missing = [spell(name) for name in spec.inputs if name not in available]
+    if not missing:
+        return None
+    text = " and ".join(missing)
+    if spec.score_kind is not None and "scores" not in spec.inputs:
+        text += f" (or {spell('scores')})"
+    return f"{method} requires {text}"
 
 
 def resolve_budget(budget, m: int) -> int:
@@ -84,15 +115,12 @@ class SelectorConfig:
     gain_mode: str = "paper_faithful"
     lazy: bool = True
     seed: int = 0
-    tie_break: str = "lowest_index"
 
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
         if self.gain_mode not in GAIN_MODES:
             raise ValueError(f"unknown gain mode {self.gain_mode!r}")
-        if self.tie_break != "lowest_index":
-            raise ValueError("only lowest_index tie-breaking is supported")
 
     def as_dict(self) -> dict:
         return {
@@ -103,7 +131,8 @@ class SelectorConfig:
             "gain_mode": self.gain_mode,
             "lazy": self.lazy,
             "seed": self.seed,
-            "tie_break": self.tie_break,
+            # Every selector breaks ties by lowest index.
+            "tie_break": "lowest_index",
         }
 
 
@@ -229,6 +258,15 @@ def _greedy_core(
             raise RuntimeError("candidate pools exhausted before reaching the budget")
 
 
+def _pools(m: int, labels=None, num_classes: int | None = None) -> list[np.ndarray]:
+    """One candidate pool of all m examples, or one pool per class of labels."""
+    if labels is None:
+        return [np.arange(m, dtype=np.int64)]
+    labels = np.asarray(labels, dtype=np.int64)
+    c = int(num_classes) if num_classes else int(labels.max()) + 1
+    return [np.flatnonzero(labels == j).astype(np.int64) for j in range(c)]
+
+
 def greedy_sequence(
     graph: NeighborGraph,
     confidence,
@@ -246,14 +284,8 @@ def greedy_sequence(
     """
     if gain_mode not in GAIN_MODES:
         raise ValueError(f"unknown gain mode {gain_mode!r}")
-    utility = utility or Utility()
-    if class_labels is None:
-        pools = [np.arange(graph.num_rows, dtype=np.int64)]
-    else:
-        labels = np.asarray(class_labels, dtype=np.int64)
-        c = int(num_classes) if num_classes else int(labels.max()) + 1
-        pools = [np.flatnonzero(labels == j).astype(np.int64) for j in range(c)]
-    state = _greedy_core(graph, confidence, s, utility, gain_mode, lazy, pools)
+    pools = _pools(graph.num_rows, class_labels, num_classes)
+    state = _greedy_core(graph, confidence, s, utility or Utility(), gain_mode, lazy, pools)
     return state.selected
 
 
@@ -266,35 +298,6 @@ def _check_graph_matches(graph: NeighborGraph, config: SelectorConfig, m: int) -
         )
 
 
-def _finish_report(
-    selected: list[int],
-    config: SelectorConfig,
-    *,
-    objective_value: float | None,
-    noisy_labels: np.ndarray | None,
-    num_classes: int | None,
-    ground_truth: np.ndarray | None,
-    graph_build_s: float,
-    selection_s: float,
-) -> PruneReport:
-    sel = np.asarray(selected, dtype=np.int64)
-    per_class = None
-    if noisy_labels is not None:
-        c = int(num_classes) if num_classes else int(noisy_labels.max()) + 1
-        per_class = np.bincount(noisy_labels[sel], minlength=c).tolist()
-    noise_ratio = None
-    if ground_truth is not None and noisy_labels is not None:
-        noise_ratio = float(np.mean(noisy_labels[sel] != ground_truth[sel]))
-    return PruneReport(
-        selected=list(map(int, selected)),
-        objective_value=objective_value,
-        per_class_counts=per_class,
-        noise_ratio=noise_ratio,
-        timings={"graph_build_s": float(graph_build_s), "selection_s": float(selection_s)},
-        config=config.as_dict(),
-    )
-
-
 def select_prune4rel(
     dataset: Dataset,
     graph: NeighborGraph,
@@ -302,59 +305,23 @@ def select_prune4rel(
     config: SelectorConfig,
     graph_build_s: float = 0.0,
 ) -> PruneReport:
-    """Greedy selection maximizing total neighborhood-confidence utility."""
-    m = dataset.num_examples
-    _check_graph_matches(graph, config, m)
-    s = resolve_budget(config.budget, m)
-    pools = [np.arange(m, dtype=np.int64)]
-    start = time.perf_counter()
-    state = _greedy_core(
-        graph, confidence, s, config.utility, config.gain_mode, config.lazy, pools
-    )
-    selection_s = time.perf_counter() - start
-    return _finish_report(
-        state.selected,
+    """Greedy selection maximizing total neighborhood-confidence utility.
+
+    config.method picks the candidate pools: prune4rel draws from all
+    examples; prune4rel_balanced round-robins the greedy step over the
+    classes (grouped by noisy label), skipping exhausted classes and
+    stopping the moment the budget is reached.
+    """
+    if config.method not in GREEDY_METHODS:
+        raise ValueError(f"{config.method!r} is not a greedy method")
+    return run_selection(
         config,
-        objective_value=total_objective(state, config.utility),
         noisy_labels=dataset.noisy_labels,
         num_classes=dataset.num_classes,
-        ground_truth=dataset.ground_truth_labels,
+        confidence=confidence,
+        ground_truth_labels=dataset.ground_truth_labels,
+        graph=graph,
         graph_build_s=graph_build_s,
-        selection_s=selection_s,
-    )
-
-
-def select_prune4rel_balanced(
-    dataset: Dataset,
-    graph: NeighborGraph,
-    confidence,
-    config: SelectorConfig,
-    graph_build_s: float = 0.0,
-) -> PruneReport:
-    """Class-balanced variant: round-robin the greedy step over the classes
-    (grouped by noisy label), skipping exhausted classes, stopping the moment
-    the budget is reached."""
-    m = dataset.num_examples
-    _check_graph_matches(graph, config, m)
-    s = resolve_budget(config.budget, m)
-    pools = [
-        np.flatnonzero(dataset.noisy_labels == j).astype(np.int64)
-        for j in range(dataset.num_classes)
-    ]
-    start = time.perf_counter()
-    state = _greedy_core(
-        graph, confidence, s, config.utility, config.gain_mode, config.lazy, pools
-    )
-    selection_s = time.perf_counter() - start
-    return _finish_report(
-        state.selected,
-        config,
-        objective_value=total_objective(state, config.utility),
-        noisy_labels=dataset.noisy_labels,
-        num_classes=dataset.num_classes,
-        ground_truth=dataset.ground_truth_labels,
-        graph_build_s=graph_build_s,
-        selection_s=selection_s,
     )
 
 
@@ -390,30 +357,11 @@ def select_by_score(scores, s: int, direction: str) -> list[int]:
     return order[:s].tolist()
 
 
-def select_small_loss(scores, s: int) -> list[int]:
-    """Smallest per-example loss first."""
-    return select_by_score(scores, s, "ascending")
-
-
-def select_grand(scores, s: int) -> list[int]:
-    """Largest gradient-norm score first."""
-    return select_by_score(scores, s, "descending")
-
-
-def select_forgetting(scores, s: int) -> list[int]:
-    """Most forgetting events first."""
-    return select_by_score(scores, s, "descending")
-
-
-def select_ssp(scores, s: int) -> list[int]:
-    """Most prototypical (ingested score) first."""
-    return select_by_score(scores, s, "descending")
-
-
 def select_margin(probabilities: np.ndarray, s: int) -> list[int]:
     """Smallest gap between the top two class probabilities first."""
     probs = np.asarray(probabilities, dtype=np.float64)
-    if probs.ndim != 2 or probs.shape[1] < 2:
+    _validate_probabilities(probs)
+    if probs.shape[1] < 2:
         raise ValueError("margin selection requires at least 2 classes")
     top2 = np.sort(probs, axis=1)[:, -2:]
     return select_by_score(top2[:, 1] - top2[:, 0], s, "ascending")
@@ -482,12 +430,30 @@ def run_selection(
 ) -> PruneReport:
     """Run any selection method from loose inputs and produce a full report.
 
-    Raises ValueError naming the first missing input for the chosen method.
+    Raises ValueError naming the missing inputs for the chosen method
+    (METHOD_TABLE lists what each method reads).
     """
     method = config.method
+    given = {
+        "embeddings": embeddings,
+        "noisy_labels": noisy_labels,
+        "probabilities": probabilities,
+        "confidence": confidence,
+        "scores": scores,
+        "graph": graph,
+    }
+    problem = requirement_error(method, {k for k, v in given.items() if v is not None})
+    if problem:
+        raise ValueError(problem)
+    if noisy_labels is not None:
+        noisy_labels = np.asarray(noisy_labels, dtype=np.int64)
+        if not num_classes:
+            num_classes = int(noisy_labels.max()) + 1
+    if ground_truth_labels is not None:
+        ground_truth_labels = np.asarray(ground_truth_labels, dtype=np.int64)
     sized = [
         arr
-        for arr in (embeddings, probabilities, noisy_labels)
+        for arr in (embeddings, probabilities, noisy_labels, ground_truth_labels)
         if arr is not None
     ]
     if confidence is not None:
@@ -500,74 +466,52 @@ def run_selection(
     for arr in sized[1:]:
         if len(arr) != m:
             raise ValueError(f"input length mismatch: {len(arr)} != {m}")
-
-    if method in ("prune4rel", "prune4rel_balanced"):
-        if embeddings is None:
-            raise ValueError(f"{method} requires embeddings")
-        if graph is None:
-            raise ValueError(f"{method} requires a neighbor graph")
-        if confidence is None:
-            raise ValueError(f"{method} requires per-example confidence")
-        labels = (
-            noisy_labels
-            if noisy_labels is not None
-            else np.zeros(m, dtype=np.int64)
-        )
-        c = int(num_classes) if num_classes else int(labels.max()) + 1
-        if method == "prune4rel_balanced" and noisy_labels is None:
-            raise ValueError("prune4rel_balanced requires noisy labels")
-        dataset = Dataset(
-            embeddings=embeddings,
-            noisy_labels=labels,
-            num_classes=c,
-            ground_truth_labels=ground_truth_labels,
-        )
-        fn = select_prune4rel if method == "prune4rel" else select_prune4rel_balanced
-        report = fn(dataset, graph, confidence, config, graph_build_s=graph_build_s)
-        if noisy_labels is None:
-            report.per_class_counts = None
-        return report
+    for what, labels in (
+        ("noisy_labels", noisy_labels),
+        ("ground_truth_labels", ground_truth_labels),
+    ):
+        if labels is not None and labels.size and (
+            labels.min() < 0 or (num_classes and labels.max() >= num_classes)
+        ):
+            raise ValueError(f"{what} contains a value outside [0, {num_classes})")
 
     s = resolve_budget(config.budget, m)
+    spec = METHOD_TABLE[method]
+    state = None
     start = time.perf_counter()
-    if method == "uniform":
-        selected = select_uniform(m, s, config.seed)
-    elif method == "small_loss":
-        if scores is None:
-            if probabilities is None or noisy_labels is None:
-                raise ValueError(
-                    "small_loss requires loss scores or probabilities plus labels"
-                )
+    if method in GREEDY_METHODS:
+        _check_graph_matches(graph, config, m)
+        balanced = method == "prune4rel_balanced"
+        pools = _pools(m, noisy_labels if balanced else None, num_classes)
+        state = _greedy_core(
+            graph, confidence, s, config.utility, config.gain_mode, config.lazy, pools
+        )
+        selected = state.selected
+    elif spec.direction is not None:
+        if scores is None:  # small_loss without a loss file
             scores = compute_small_loss_scores(probabilities, noisy_labels)
-        selected = select_small_loss(scores, s)
+        selected = select_by_score(scores, s, spec.direction)
+    elif method == "uniform":
+        selected = select_uniform(m, s, config.seed)
     elif method == "margin":
-        if probabilities is None:
-            raise ValueError("margin requires probabilities")
         selected = select_margin(probabilities, s)
     elif method == "kcenter_greedy":
-        if embeddings is None:
-            raise ValueError("kcenter_greedy requires embeddings")
         selected = select_kcenter_greedy(embeddings, s, config.seed)
-    elif method in ("forgetting", "grand", "ssp"):
-        if scores is None:
-            raise ValueError(f"{method} requires a score file")
-        fn = {"forgetting": select_forgetting, "grand": select_grand, "ssp": select_ssp}
-        selected = fn[method](scores, s)
-    elif method == "moderate":
-        if embeddings is None or noisy_labels is None:
-            raise ValueError("moderate requires embeddings and labels")
+    else:
         selected = select_moderate(embeddings, noisy_labels, s, num_classes)
-    else:  # pragma: no cover - config validation rejects unknown methods
-        raise ValueError(f"unknown method {method!r}")
     selection_s = time.perf_counter() - start
 
-    return _finish_report(
-        selected,
-        config,
-        objective_value=None,
-        noisy_labels=noisy_labels,
-        num_classes=num_classes,
-        ground_truth=ground_truth_labels,
-        graph_build_s=graph_build_s,
-        selection_s=selection_s,
+    sel = np.asarray(selected, dtype=np.int64)
+    per_class = noise_ratio = None
+    if noisy_labels is not None:
+        per_class = np.bincount(noisy_labels[sel], minlength=num_classes).tolist()
+        if ground_truth_labels is not None:
+            noise_ratio = float(np.mean(noisy_labels[sel] != ground_truth_labels[sel]))
+    return PruneReport(
+        selected=list(map(int, selected)),
+        objective_value=None if state is None else total_objective(state, config.utility),
+        per_class_counts=per_class,
+        noise_ratio=noise_ratio,
+        timings={"graph_build_s": float(graph_build_s), "selection_s": float(selection_s)},
+        config=config.as_dict(),
     )

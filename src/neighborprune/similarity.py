@@ -55,7 +55,6 @@ class NeighborGraph:
     indptr: np.ndarray
     indices: np.ndarray
     weights: np.ndarray
-    self_included: bool = True
 
     def neighbors(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         """Neighbor indices and weights of row i (self edge included)."""

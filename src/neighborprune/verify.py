@@ -17,7 +17,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
 
 from .dataset import Dataset, compute_confidence
 from .objective import SelectionState, Utility, confidence_values, marginal_gain_exact, total_objective
@@ -259,6 +258,26 @@ class CorrelationReport:
         }
 
 
+def _average_ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks; tied values share the mean of the ranks they span."""
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], values.size]
+    ranks = np.empty(values.size)
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
+    return ranks
+
+
+def _spearman(x, y) -> float:
+    """Spearman rank correlation: Pearson correlation of the average ranks."""
+    rx = _average_ranks(np.asarray(x, dtype=np.float64))
+    ry = _average_ranks(np.asarray(y, dtype=np.float64))
+    rx -= rx.mean()
+    ry -= ry.mean()
+    return float(rx @ ry / np.sqrt((rx @ rx) * (ry @ ry)))
+
+
 def correlation_report(
     nbr_conf: np.ndarray, corrected: np.ndarray, num_bins: int = 15
 ) -> CorrelationReport:
@@ -282,7 +301,7 @@ def correlation_report(
     if np.all(values == values[0]) or np.all(flags == flags[0]):
         rho = 0.0
     else:
-        rho = float(stats.spearmanr(values, flags.astype(np.int64)).statistic)
+        rho = _spearman(values, flags)
     return CorrelationReport(
         bin_edges=edges, counts=counts, correction_rates=rates, spearman=rho
     )

@@ -1,9 +1,14 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from neighborprune.cli import main
+from neighborprune.cli import main, method_inputs_help
 from neighborprune.dataset import load_labels, load_matrix, save_labels, save_matrix, save_scores
 from neighborprune.selectors import load_selected
 
@@ -18,6 +23,21 @@ def synth_dir(tmp_path_factory):
         ]
     )
     assert code == 0
+    return out
+
+
+@pytest.fixture(scope="module")
+def golden_dir(tmp_path_factory):
+    """The criterion-10 dataset plus a seeded score file."""
+    out = tmp_path_factory.mktemp("golden")
+    code = main(
+        [
+            "synth", "--classes", "5", "--per-class", "40", "--dim", "8",
+            "--noise", "0.2", "--seed", "3", "--out", str(out / "data"),
+        ]
+    )
+    assert code == 0
+    save_scores(out / "scores.txt", np.random.default_rng(99).uniform(0, 1, 200))
     return out
 
 
@@ -112,6 +132,17 @@ class TestPrune:
         report = json.loads((out / "report.json").read_text())
         assert report["config"]["tau"] == 0.95
 
+    def test_margin_rejects_unnormalized_probs(self, synth_dir, tmp_path, capsys):
+        probs = tmp_path / "probs.bin"
+        save_matrix(probs, np.full((200, 2), 0.25))
+        code = main(
+            ["prune", "--embeddings", str(synth_dir / "embeddings.bin"),
+             "--probs", str(probs), "--method", "margin", "--ratio", "0.2",
+             "--out", str(tmp_path / "run")]
+        )
+        assert code == 3
+        assert capsys.readouterr().err.startswith("E_FORMAT:")
+
     def test_bad_magic_is_format_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.bin"
         bad.write_bytes(b"JUNKJUNKJUNKJUNKJUNK")
@@ -164,6 +195,119 @@ class TestPrune:
             assert code == 0
             blobs.append((out / "selected.txt").read_bytes())
         assert blobs[0] == blobs[1] == blobs[2]
+
+
+# blake2b-128 of selected.txt and objective_value for every method on the
+# criterion-10 dataset at --ratio 0.3 --seed 13; a refactor must keep both.
+GOLDEN = {
+    "prune4rel": ("1812593e29ef72135f22ee37055fda41", 199.99999979354214),
+    "prune4rel_balanced": ("5514c34e4b02e468fa068924ca3721ba", 199.99999968587656),
+    "uniform": ("1990f4646b375a2a44150058cdc1d54f", None),
+    "small_loss": ("c238ee3de98869a3fed5401f7a943d42", None),
+    "margin": ("104372466e89c50cbdbaa2804233961f", None),
+    "kcenter_greedy": ("b572e599f76f402ee1ad909a7a72b0e3", None),
+    "forgetting": ("9cc91662428b7f88c22b80199fff63b2", None),
+    "grand": ("9cc91662428b7f88c22b80199fff63b2", None),
+    "moderate": ("99d8fe5ccd8f81412358a0efc207afb8", None),
+    "ssp": ("9cc91662428b7f88c22b80199fff63b2", None),
+}
+GOLDEN_EXTRA = {
+    "prune4rel": ["--tau", "0.9"],
+    "prune4rel_balanced": ["--tau", "0.9"],
+    "forgetting": ["--scores"],
+    "grand": ["--scores"],
+    "ssp": ["--scores"],
+}
+
+
+class TestGolden:
+    @pytest.mark.parametrize("method", sorted(GOLDEN))
+    def test_selected_bytes_and_objective(self, golden_dir, tmp_path, method):
+        extra = GOLDEN_EXTRA.get(method, [])
+        if extra == ["--scores"]:
+            extra = ["--scores", str(golden_dir / "scores.txt")]
+        out = tmp_path / "run"
+        code = run_prune(
+            golden_dir / "data", out, "--method", method, "--ratio", "0.3",
+            "--seed", "13", *extra,
+        )
+        assert code == 0
+        digest = hashlib.blake2b(
+            (out / "selected.txt").read_bytes(), digest_size=16
+        ).hexdigest()
+        report = json.loads((out / "report.json").read_text())
+        assert (digest, report["objective_value"]) == GOLDEN[method]
+        assert list(report) == [
+            "selected_count", "objective_value", "per_class_counts",
+            "noise_ratio", "timings", "config",
+        ]
+        assert list(report["config"]) == [
+            "method", "budget", "tau", "utility", "gain_mode", "lazy", "seed",
+            "tie_break",
+        ]
+        assert report["config"]["tie_break"] == "lowest_index"
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert list(manifest) == [
+            "command", "config", "inputs", "outputs", "timings", "version",
+        ]
+        assert manifest["config"] == report["config"]
+
+
+# (method, flags beyond --embeddings/--ratio/--out, flag the error must name)
+MISSING_INPUT_CASES = [
+    ("prune4rel", ["--probs"], "--tau"),
+    ("prune4rel", ["--probs", "--tau", "--confidence-metric", "external"],
+     "--confidence-file"),
+    ("prune4rel", ["--tau"], "--probs"),
+    ("prune4rel_balanced", ["--probs", "--tau"], "--labels"),
+    ("moderate", [], "--labels"),
+    ("margin", ["--labels"], "--probs"),
+    ("small_loss", ["--labels"], "--probs"),
+    ("small_loss", ["--probs"], "--labels"),
+    ("forgetting", ["--probs", "--labels"], "--scores"),
+    ("grand", ["--probs", "--labels"], "--scores"),
+    ("ssp", ["--probs", "--labels"], "--scores"),
+]
+
+
+class TestMissingInputs:
+    @pytest.mark.parametrize(
+        "method,flags,named", MISSING_INPUT_CASES,
+        ids=[f"{m}-{n}" for m, _, n in MISSING_INPUT_CASES],
+    )
+    def test_exit_2_names_flag(self, synth_dir, tmp_path, capsys, method, flags, named):
+        values = {
+            "--probs": str(synth_dir / "probabilities.bin"),
+            "--labels": str(synth_dir / "noisy_labels.txt"),
+            "--tau": "0.9",
+        }
+        argv = [
+            "prune", "--embeddings", str(synth_dir / "embeddings.bin"),
+            "--method", method, "--ratio", "0.2", "--out", str(tmp_path / "run"),
+        ]
+        for flag in flags:
+            argv += [flag, values[flag]] if flag in values else [flag]
+        code = main(argv)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("E_ARG:")
+        assert named in err
+        assert not (tmp_path / "run").exists()
+
+
+class TestPackaging:
+    def test_cli_import_leaves_scipy_out(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        code = (
+            "import sys, neighborprune.cli; "
+            "sys.exit('scipy' in sys.modules)"
+        )
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+    def test_readme_lists_method_inputs_from_the_table(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        assert method_inputs_help() in readme
 
 
 class TestEval:

@@ -16,8 +16,6 @@ from neighborprune.selectors import (
     select_margin,
     select_moderate,
     select_prune4rel,
-    select_prune4rel_balanced,
-    select_small_loss,
     select_uniform,
 )
 from neighborprune.similarity import build_graph
@@ -142,7 +140,7 @@ class TestBalancedSelection:
         ds = Dataset(embeddings=emb, noisy_labels=labels, num_classes=num_classes)
         graph = build_graph(emb, 1.0)
         config = SelectorConfig(method="prune4rel_balanced", budget=s, tau=1.0)
-        return select_prune4rel_balanced(ds, graph, conf, config)
+        return select_prune4rel(ds, graph, conf, config)
 
     def test_even_split_two_classes(self):
         labels = [0, 1] * 6
@@ -212,9 +210,6 @@ class TestScoreSelectors:
 
     def test_full_budget_identity_set(self):
         assert sorted(select_by_score([2.0, 0.5, 1.0], 3, "descending")) == [0, 1, 2]
-
-    def test_small_loss_prefers_small(self):
-        assert select_small_loss([0.5, 0.1, 0.9], 1) == [1]
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="exceeds"):
@@ -288,6 +283,11 @@ class TestRunSelection:
         with pytest.raises(ValueError, match="probabilities"):
             run_selection(config, embeddings=np.eye(3))
 
+    def test_small_loss_names_scores_alternative(self):
+        config = SelectorConfig(method="small_loss", budget=1)
+        with pytest.raises(ValueError, match=r"noisy_labels \(or scores\)"):
+            run_selection(config, probabilities=np.array([[0.9, 0.1]]))
+
     def test_small_loss_from_probabilities(self):
         probs = np.array([[0.9, 0.1], [0.4, 0.6], [0.5, 0.5]])
         config = SelectorConfig(method="small_loss", budget=1)
@@ -326,6 +326,27 @@ class TestRunSelection:
         report = select_prune4rel(ds, graph, TINY_CONF, config)
         # selected [0, 2]: neither is mislabeled
         assert report.noise_ratio == 0.0
+
+    @pytest.mark.parametrize("method", ["small_loss", "forgetting", "grand", "ssp"])
+    def test_score_direction(self, method):
+        # small_loss keeps the smallest losses, the others the largest scores
+        expected = [1, 0] if method == "small_loss" else [2, 0]
+        config = SelectorConfig(method=method, budget=2)
+        report = run_selection(config, scores=np.array([0.5, 0.1, 0.9]))
+        assert report.selected == expected
+
+    def test_balanced_label_out_of_range_rejected(self):
+        emb = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, 0.1]])
+        config = SelectorConfig(method="prune4rel_balanced", budget=2, tau=0.5)
+        with pytest.raises(ValueError):
+            run_selection(
+                config,
+                embeddings=emb,
+                noisy_labels=[0, 3, 1, 0],
+                num_classes=2,
+                confidence=np.array([0.9, 0.8, 0.7, 0.6]),
+                graph=build_graph(emb, 0.5),
+            )
 
     def test_uniform_full_ratio(self):
         config = SelectorConfig(method="uniform", budget=1.0)

@@ -268,6 +268,13 @@ class TestCorrelationReport:
         assert report.counts.sum() == 300
         assert len(report.rows()) == 15
 
+    def test_ties_take_average_ranks(self):
+        # ranks (1, 2.5, 2.5, 4) against (1.5, 3.5, 1.5, 3.5): rho = 1/sqrt(2)
+        report = correlation_report(
+            [0.1, 0.2, 0.2, 0.9], [False, True, False, True], 2
+        )
+        assert abs(report.spearman - 1 / math.sqrt(2)) <= 1e-12
+
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError, match="nonempty"):
             correlation_report(np.array([]), np.array([]), 5)
