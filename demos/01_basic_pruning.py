@@ -43,8 +43,8 @@ print(f"dataset: m={m}, {int(flipped.sum())} mislabeled ({flipped.mean():.0%})")
 # warm-up classifier's softmax output.
 confidence = compute_confidence(dataset.probabilities, "max_prob")
 print(
-    f"mean confidence: clean {confidence.values[~flipped].mean():.2f}, "
-    f"mislabeled {confidence.values[flipped].mean():.2f}"
+    f"mean confidence: clean {confidence[~flipped].mean():.2f}, "
+    f"mislabeled {confidence[flipped].mean():.2f}"
 )
 
 # --- neighborhood structure ---------------------------------------------------

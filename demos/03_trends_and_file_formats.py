@@ -3,8 +3,9 @@
 Shows the qualitative behavior behind the method: the neighborhood-vote
 re-labeling proxy succeeds mostly where neighborhood confidence is high,
 and the selected subset's noise ratio climbs with the budget. Ends with a
-tour of the on-disk formats (binary matrix container, label/score text
-files, graph cache).
+tour of the on-disk formats (binary matrix container, label text files,
+correlation CSV). The graph is not a file format: every run builds it
+from the embeddings.
 
 Run:  python demos/03_trends_and_file_formats.py
 """
@@ -22,11 +23,9 @@ from neighborprune import (
     compute_confidence,
     correlation_report,
     generate_synthetic,
-    load_graph,
     load_labels,
     load_matrix,
     relabel_proxy,
-    save_graph,
     save_labels,
     save_matrix,
     select_prune4rel,
@@ -80,17 +79,11 @@ with tempfile.TemporaryDirectory() as tmp:
     save_matrix(tmp / "emb.bin", dataset.embeddings)          # binary container
     save_matrix(tmp / "emb.csv", dataset.embeddings[:5], "csv")
     save_labels(tmp / "labels.txt", dataset.noisy_labels)     # one int per line
-    save_graph(tmp / "graph.nbgr", graph)                     # edge cache
     write_correlation_csv(tmp / "bins.csv", corr)
 
     emb = load_matrix(tmp / "emb.bin")
     labels = load_labels(tmp / "labels.txt")
-    cached = load_graph(tmp / "graph.nbgr")
     header = (tmp / "emb.bin").read_bytes()[:4]
     print(f"\nbinary container magic {header!r}, round-trip shape {emb.shape}")
     print(f"label file round-trip: {np.array_equal(labels, dataset.noisy_labels)}")
-    print(
-        f"graph cache round-trip: {cached.num_edges} stored edges at "
-        f"tau={cached.tau} (weights float32 on disk)"
-    )
     print("correlation CSV header:", (tmp / "bins.csv").read_text().splitlines()[0])

@@ -10,8 +10,6 @@ data generation.
 __version__ = "0.1.0"
 
 from .dataset import (
-    AuxScores,
-    ConfidenceVector,
     Dataset,
     FormatError,
     compute_confidence,
@@ -30,7 +28,6 @@ from .objective import (
     Utility,
     marginal_gain_exact,
     marginal_gain_paper,
-    neighborhood_confidence,
     total_objective,
 )
 from .selectors import (
@@ -51,8 +48,6 @@ from .similarity import (
     NeighborGraph,
     build_graph,
     cosine_similarity,
-    load_graph,
-    save_graph,
 )
 from .verify import (
     CorrelationReport,

@@ -23,17 +23,18 @@ import numpy as np
 
 from . import __version__
 from .dataset import (
-    Dataset,
+    CONFIDENCE_METRICS,
     FormatError,
     compute_confidence,
     load_external_confidence,
     load_labels,
     load_matrix,
+    load_probabilities,
     load_scores,
     save_labels,
     save_matrix,
 )
-from .objective import Utility
+from .objective import UTILITY_KINDS, Utility
 from .selectors import (
     METHOD_TABLE,
     METHODS,
@@ -46,7 +47,7 @@ from .selectors import (
     run_selection,
     write_selected,
 )
-from .similarity import DEFAULT_BLOCK_SIZE, DEFAULT_EDGE_CAP, GuardError, build_graph
+from .similarity import DEFAULT_EDGE_CAP, GuardError, build_graph
 from . import verify as verify_mod
 
 
@@ -104,7 +105,7 @@ def method_inputs_help() -> str:
     lines = ["method inputs (--tau may come from --preset):"]
     for method, spec in METHOD_TABLE.items():
         text = " + ".join(INPUT_FLAGS[name] for name in spec.inputs) or "(none)"
-        if spec.score_kind is not None and "scores" not in spec.inputs:
+        if spec.direction is not None and "scores" not in spec.inputs:
             text += ", or --scores"
         lines.append(f"  {method:<20}{text}")
     lines.append(
@@ -135,9 +136,7 @@ def _add_prune_parser(sub) -> None:
         "--confidence-file", help="external per-example confidence file"
     )
     p.add_argument(
-        "--confidence-metric",
-        choices=("max_prob", "diff_prob", "external"),
-        default="max_prob",
+        "--confidence-metric", choices=CONFIDENCE_METRICS, default="max_prob"
     )
     p.add_argument("--tau", type=float, help="neighborhood threshold")
     p.add_argument(
@@ -145,12 +144,11 @@ def _add_prune_parser(sub) -> None:
         choices=tuple(TAU_PRESETS),
         help="named tau preset (overridden by an explicit --tau)",
     )
-    p.add_argument("--utility", choices=("tanh", "identity", "log1p"), default="tanh")
+    p.add_argument("--utility", choices=UTILITY_KINDS, default="tanh")
     p.add_argument("--gain-mode", choices=("paper", "exact"), default="paper")
     p.add_argument("--eager", action="store_true", help="disable lazy evaluation")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--block-size", type=int, default=DEFAULT_BLOCK_SIZE)
     p.add_argument("--max-edges", type=int, default=DEFAULT_EDGE_CAP)
     p.add_argument("--out", required=True, help="output directory")
 
@@ -176,14 +174,10 @@ def cmd_prune(args) -> int:
 
     embeddings = load_matrix(args.embeddings, args.embeddings_format)
     probabilities = (
-        load_matrix(args.probs, args.probs_format) if args.probs else None
+        load_probabilities(args.probs, args.probs_format) if args.probs else None
     )
     noisy_labels = load_labels(args.labels) if args.labels else None
-    scores = (
-        load_scores(args.scores, spec.score_kind or "loss")
-        if args.scores
-        else None
-    )
+    scores = load_scores(args.scores) if args.scores else None
     confidence = None
     if needs_graph:
         if args.confidence_metric == "external":
@@ -211,11 +205,7 @@ def cmd_prune(args) -> int:
     if needs_graph:
         start = time.perf_counter()
         graph = build_graph(
-            embeddings,
-            tau,
-            block_size=args.block_size,
-            threads=args.threads,
-            edge_cap=args.max_edges,
+            embeddings, tau, threads=args.threads, edge_cap=args.max_edges
         )
         graph_build_s = time.perf_counter() - start
 

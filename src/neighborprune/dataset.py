@@ -3,8 +3,8 @@
 All file-format contracts live here: the "NBPR" binary matrix container
 (shared by embeddings and probability matrices), headerless CSV matrices,
 and the one-value-per-line text formats for labels, auxiliary scores, and
-external confidences. Everything is loaded into float64/int64 numpy arrays
-and validated eagerly; non-finite values anywhere are hard errors.
+external confidences. Everything is loaded into plain float64/int64 numpy
+arrays and validated eagerly; non-finite values anywhere are hard errors.
 """
 
 from __future__ import annotations
@@ -15,12 +15,13 @@ from pathlib import Path
 
 import numpy as np
 
+from .objective import confidence_values
+
 MATRIX_MAGIC = b"NBPR"
 MATRIX_VERSION = 1
 MATRIX_FORMATS = ("binary", "csv")
 
 CONFIDENCE_METRICS = ("max_prob", "diff_prob", "external")
-SCORE_KINDS = ("loss", "forgetting_events", "grad_norm", "ssp_prototypicality")
 
 # Probability floor applied before log in the small-loss score; keeps the
 # cross-entropy finite for rows that assign (near-)zero mass to the label.
@@ -176,7 +177,7 @@ def save_scores(path: str | Path, values: np.ndarray) -> None:
     )
 
 
-def load_score_values(path: str | Path) -> np.ndarray:
+def load_scores(path: str | Path) -> np.ndarray:
     """Load one real value per line."""
     values: list[float] = []
     path = Path(path)
@@ -196,16 +197,13 @@ def load_score_values(path: str | Path) -> np.ndarray:
     return out
 
 
-def load_scores(path: str | Path, kind: str) -> "AuxScores":
-    return AuxScores(values=load_score_values(path), kind=kind)
-
-
-def load_external_confidence(path: str | Path) -> "ConfidenceVector":
+def load_external_confidence(path: str | Path) -> np.ndarray:
     """Load per-example confidences supplied by the user (values in [0, 1])."""
-    values = load_score_values(path)
-    if values.min() < 0.0 or values.max() > 1.0:
-        raise FormatError(f"{path}: confidence values must lie in [0, 1]")
-    return ConfidenceVector(values=values, metric="external")
+    values = load_scores(path)
+    try:
+        return confidence_values(values)
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -224,48 +222,6 @@ def _validate_probabilities(probs: np.ndarray, where: str = "probabilities") -> 
         raise ValueError(
             f"{where}: row {int(bad[0])} sums to {sums[bad[0]]:.8f}, expected 1"
         )
-
-
-@dataclass(frozen=True)
-class ConfidenceVector:
-    """Per-example prediction confidence in [0, 1]."""
-
-    values: np.ndarray
-    metric: str
-
-    def __post_init__(self):
-        if self.metric not in CONFIDENCE_METRICS:
-            raise ValueError(f"unknown confidence metric {self.metric!r}")
-        values = np.array(self.values, dtype=np.float64)
-        if values.ndim != 1:
-            raise ValueError("confidence values must be 1-d")
-        _require_finite(values, "confidence values")
-        if values.size and (values.min() < 0.0 or values.max() > 1.0):
-            raise ValueError("confidence values must lie in [0, 1]")
-        object.__setattr__(self, "values", _frozen(values))
-
-    def __len__(self) -> int:
-        return self.values.size
-
-
-@dataclass(frozen=True)
-class AuxScores:
-    """Per-example scalar scores consumed by the baseline selectors."""
-
-    values: np.ndarray
-    kind: str
-
-    def __post_init__(self):
-        if self.kind not in SCORE_KINDS:
-            raise ValueError(f"unknown score kind {self.kind!r}")
-        values = np.array(self.values, dtype=np.float64)
-        if values.ndim != 1:
-            raise ValueError("score values must be 1-d")
-        _require_finite(values, "score values")
-        object.__setattr__(self, "values", _frozen(values))
-
-    def __len__(self) -> int:
-        return self.values.size
 
 
 @dataclass(frozen=True)
@@ -341,7 +297,7 @@ class Dataset:
 # Derived quantities
 # ---------------------------------------------------------------------------
 
-def compute_confidence(probabilities: np.ndarray, metric: str) -> ConfidenceVector:
+def compute_confidence(probabilities: np.ndarray, metric: str) -> np.ndarray:
     """Derive per-example confidence from softmax probability rows.
 
     max_prob is the row maximum; diff_prob is the gap between the largest
@@ -358,12 +314,12 @@ def compute_confidence(probabilities: np.ndarray, metric: str) -> ConfidenceVect
         values = top2[:, 1] - top2[:, 0]
     else:
         raise ValueError(f"cannot compute confidence for metric {metric!r}")
-    return ConfidenceVector(values=values, metric=metric)
+    return values
 
 
 def compute_small_loss_scores(
     probabilities: np.ndarray, noisy_labels: np.ndarray
-) -> AuxScores:
+) -> np.ndarray:
     """Per-example cross-entropy against the noisy label, probability-floored."""
     probs = np.asarray(probabilities, dtype=np.float64)
     _validate_probabilities(probs)
@@ -373,5 +329,4 @@ def compute_small_loss_scores(
     if labels.size and (labels.min() < 0 or labels.max() >= probs.shape[1]):
         raise ValueError("label out of range for probability matrix")
     picked = probs[np.arange(labels.size), labels]
-    losses = -np.log(np.maximum(picked, LOSS_PROB_FLOOR))
-    return AuxScores(values=losses, kind="loss")
+    return -np.log(np.maximum(picked, LOSS_PROB_FLOOR))

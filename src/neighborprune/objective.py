@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import ConfidenceVector
 from .similarity import NeighborGraph
 
 UTILITY_KINDS = ("tanh", "identity", "log1p")
@@ -44,12 +43,18 @@ class Utility:
 
 
 def confidence_values(confidence) -> np.ndarray:
-    """Accept a ConfidenceVector or a bare array of values in [0, 1]."""
-    if isinstance(confidence, ConfidenceVector):
-        return confidence.values
+    """The one check on a confidence vector: 1-d float64, every entry finite
+    and in [0, 1]. Everything that reads confidences calls it."""
     values = np.asarray(confidence, dtype=np.float64)
     if values.ndim != 1:
         raise ValueError("confidence must be a 1-d vector")
+    # NaN fails both comparisons, so this also rejects non-finite entries.
+    bad = np.flatnonzero(~((values >= 0.0) & (values <= 1.0)))
+    if bad.size:
+        raise ValueError(
+            f"confidence values must lie in [0, 1]: entry {int(bad[0])} "
+            f"is {values[bad[0]]}"
+        )
     return values
 
 
@@ -113,13 +118,6 @@ class SelectionState:
         return np.add.reduceat(contrib, self.graph.indptr[:-1])
 
 
-def neighborhood_confidence(state: SelectionState, i: int) -> float:
-    """Running confidence mass around example i from the current selection."""
-    if not 0 <= i < state.num_examples:
-        raise IndexError(f"index {i} out of range")
-    return float(state.nbr_conf[i])
-
-
 def total_objective(state: SelectionState, utility: Utility) -> float:
     """Sum of utility(nbr_conf[i]) over the whole training set."""
     return float(np.sum(utility(state.nbr_conf)))
@@ -151,11 +149,14 @@ def marginal_gain_exact(state: SelectionState, x: int, utility: Utility) -> floa
     return max(0.0, float(np.sum(delta)))
 
 
-def paper_gain_vector(state: SelectionState, utility: Utility) -> np.ndarray:
-    """Own-term gains for every example at once (selected entries included).
+def marginal_gains_paper(
+    state: SelectionState, cands: np.ndarray, utility: Utility
+) -> np.ndarray:
+    """Own-term gains of the candidate indices cands, all at once.
 
     Elementwise evaluation only, so each entry is bit-identical to the
     scalar marginal_gain_paper of that index.
     """
-    gains = utility(state.nbr_conf + state.conf) - utility(state.nbr_conf)
+    before = state.nbr_conf[cands]
+    gains = utility(before + state.conf[cands]) - utility(before)
     return np.maximum(gains, 0.0)

@@ -23,13 +23,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import AuxScores, Dataset, _validate_probabilities, compute_small_loss_scores
+from .dataset import Dataset, _validate_probabilities, compute_small_loss_scores
 from .objective import (
     SelectionState,
     Utility,
     confidence_values,
     marginal_gain_exact,
     marginal_gain_paper,
+    marginal_gains_paper,
     total_objective,
 )
 from .similarity import NeighborGraph
@@ -38,13 +39,12 @@ from .similarity import NeighborGraph
 @dataclass(frozen=True)
 class MethodSpec:
     """The inputs a selection method reads, all required and reported in
-    this order when missing; for score-ranking methods also the score kind
-    and the sort direction. A score method given its scores directly needs
-    none of its other inputs (small_loss otherwise derives its losses from
+    this order when missing; for score-ranking methods also the sort
+    direction. A score method given its scores directly needs none of its
+    other inputs (small_loss otherwise derives its losses from
     probabilities and labels)."""
 
     inputs: tuple[str, ...] = ()
-    score_kind: str | None = None
     direction: str | None = None
 
 
@@ -52,13 +52,13 @@ METHOD_TABLE = {
     "prune4rel": MethodSpec(("graph", "confidence")),
     "prune4rel_balanced": MethodSpec(("graph", "noisy_labels", "confidence")),
     "uniform": MethodSpec(),
-    "small_loss": MethodSpec(("probabilities", "noisy_labels"), "loss", "ascending"),
+    "small_loss": MethodSpec(("probabilities", "noisy_labels"), "ascending"),
     "margin": MethodSpec(("probabilities",)),
     "kcenter_greedy": MethodSpec(("embeddings",)),
-    "forgetting": MethodSpec(("scores",), "forgetting_events", "descending"),
-    "grand": MethodSpec(("scores",), "grad_norm", "descending"),
+    "forgetting": MethodSpec(("scores",), "descending"),
+    "grand": MethodSpec(("scores",), "descending"),
     "moderate": MethodSpec(("embeddings", "noisy_labels")),
-    "ssp": MethodSpec(("scores",), "ssp_prototypicality", "descending"),
+    "ssp": MethodSpec(("scores",), "descending"),
 }
 METHODS = tuple(METHOD_TABLE)
 GREEDY_METHODS = ("prune4rel", "prune4rel_balanced")
@@ -72,13 +72,13 @@ def requirement_error(method: str, available, spell=str) -> str | None:
     """None when `available` holds every input `method` reads, otherwise a
     sentence naming the missing ones, each written as spell(input)."""
     spec = METHOD_TABLE[method]
-    if spec.score_kind is not None and "scores" in available:
+    if spec.direction is not None and "scores" in available:
         return None
     missing = [spell(name) for name in spec.inputs if name not in available]
     if not missing:
         return None
     text = " and ".join(missing)
-    if spec.score_kind is not None and "scores" not in spec.inputs:
+    if spec.direction is not None and "scores" not in spec.inputs:
         text += f" (or {spell('scores')})"
     return f"{method} requires {text}"
 
@@ -196,9 +196,7 @@ def _pool_gains(state: SelectionState, cands: np.ndarray, utility: Utility,
     """Fresh gains for a candidate array; elementwise-identical to the
     scalar path (pinned by a test against batch/scalar ufunc equality)."""
     if gain_mode == "paper_faithful":
-        before = state.nbr_conf[cands]
-        gains = utility(before + state.conf[cands]) - utility(before)
-        return np.maximum(gains, 0.0)
+        return marginal_gains_paper(state, cands, utility)
     return np.array(
         [marginal_gain_exact(state, int(x), utility) for x in cands], dtype=np.float64
     )
@@ -337,15 +335,11 @@ def select_uniform(m: int, s: int, seed: int) -> list[int]:
     return rng.choice(m, size=s, replace=False).tolist()
 
 
-def _score_array(scores) -> np.ndarray:
-    if isinstance(scores, AuxScores):
-        return scores.values
-    return np.asarray(scores, dtype=np.float64)
-
-
 def select_by_score(scores, s: int, direction: str) -> list[int]:
     """First s indices after a stable sort by score; lowest index wins ties."""
-    values = _score_array(scores)
+    values = np.asarray(scores, dtype=np.float64)
+    if values.ndim != 1 or not np.isfinite(values).all():
+        raise ValueError("scores must be a 1-d vector of finite values")
     if s > values.size:
         raise ValueError(f"budget {s} exceeds m={values.size}")
     if direction == "ascending":
@@ -457,9 +451,10 @@ def run_selection(
         if arr is not None
     ]
     if confidence is not None:
-        sized.append(confidence_values(confidence))
+        confidence = confidence_values(confidence)
+        sized.append(confidence)
     if scores is not None:
-        sized.append(_score_array(scores))
+        sized.append(np.asarray(scores))
     if not sized:
         raise ValueError("no inputs provided to infer the dataset size from")
     m = len(sized[0])

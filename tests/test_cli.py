@@ -133,15 +133,19 @@ class TestPrune:
         assert report["config"]["tau"] == 0.95
 
     def test_margin_rejects_unnormalized_probs(self, synth_dir, tmp_path, capsys):
+        # --probs is validated on load, also for methods that never read it.
         probs = tmp_path / "probs.bin"
-        save_matrix(probs, np.full((200, 2), 0.25))
-        code = main(
-            ["prune", "--embeddings", str(synth_dir / "embeddings.bin"),
-             "--probs", str(probs), "--method", "margin", "--ratio", "0.2",
-             "--out", str(tmp_path / "run")]
-        )
-        assert code == 3
-        assert capsys.readouterr().err.startswith("E_FORMAT:")
+        for method, value in (("margin", 0.25), ("uniform", 1.0)):
+            save_matrix(probs, np.full((200, 2), value))
+            code = main(
+                ["prune", "--embeddings", str(synth_dir / "embeddings.bin"),
+                 "--probs", str(probs), "--method", method, "--ratio", "0.2",
+                 "--out", str(tmp_path / "run")]
+            )
+            assert code == 3
+            err = capsys.readouterr().err
+            assert err.startswith("E_FORMAT:")
+            assert str(probs) in err
 
     def test_bad_magic_is_format_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.bin"
@@ -211,6 +215,13 @@ GOLDEN = {
     "moderate": ("99d8fe5ccd8f81412358a0efc207afb8", None),
     "ssp": ("9cc91662428b7f88c22b80199fff63b2", None),
 }
+# The same runs of both greedy methods under --utility log1p, which does
+# not saturate on this dataset the way tanh does, so objective_value itself
+# pins the confidence plumbing.
+GOLDEN_LOG1P = {
+    "prune4rel": ("91cee61f740737cffd32b7b9df12997f", 501.3580201533749),
+    "prune4rel_balanced": ("05cc047339a848fb2cd154cf57e86b38", 501.3580201533749),
+}
 GOLDEN_EXTRA = {
     "prune4rel": ["--tau", "0.9"],
     "prune4rel_balanced": ["--tau", "0.9"],
@@ -251,6 +262,20 @@ class TestGolden:
             "command", "config", "inputs", "outputs", "timings", "version",
         ]
         assert manifest["config"] == report["config"]
+
+    @pytest.mark.parametrize("method", sorted(GOLDEN_LOG1P))
+    def test_log1p_selected_bytes_and_objective(self, golden_dir, tmp_path, method):
+        out = tmp_path / "run"
+        code = run_prune(
+            golden_dir / "data", out, "--method", method, "--ratio", "0.3",
+            "--seed", "13", "--tau", "0.9", "--utility", "log1p",
+        )
+        assert code == 0
+        digest = hashlib.blake2b(
+            (out / "selected.txt").read_bytes(), digest_size=16
+        ).hexdigest()
+        report = json.loads((out / "report.json").read_text())
+        assert (digest, report["objective_value"]) == GOLDEN_LOG1P[method]
 
 
 # (method, flags beyond --embeddings/--ratio/--out, flag the error must name)

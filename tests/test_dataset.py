@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from neighborprune.dataset import (
-    AuxScores,
-    ConfidenceVector,
     Dataset,
     FormatError,
     compute_confidence,
@@ -14,11 +12,12 @@ from neighborprune.dataset import (
     load_labels,
     load_matrix,
     load_probabilities,
-    load_score_values,
+    load_scores,
     save_labels,
     save_matrix,
     save_scores,
 )
+from neighborprune.objective import confidence_values
 
 
 class TestMatrixContainer:
@@ -100,7 +99,7 @@ class TestLineFormats:
     def test_scores_round_trip(self, tmp_path):
         values = np.array([0.25, -1.75, 3.125])
         save_scores(tmp_path / "s.txt", values)
-        np.testing.assert_array_equal(load_score_values(tmp_path / "s.txt"), values)
+        np.testing.assert_array_equal(load_scores(tmp_path / "s.txt"), values)
 
     def test_external_confidence_range_checked(self, tmp_path):
         (tmp_path / "c.txt").write_text("0.5\n1.5\n")
@@ -144,16 +143,16 @@ class TestDatasetInvariants:
 class TestConfidence:
     def test_max_prob_row(self):
         cv = compute_confidence(np.array([[0.7, 0.2, 0.1]]), "max_prob")
-        assert cv.values[0] == pytest.approx(0.7)
-        assert cv.metric == "max_prob"
+        assert cv.dtype == np.float64
+        assert cv[0] == pytest.approx(0.7)
 
     def test_diff_prob_row(self):
         cv = compute_confidence(np.array([[0.7, 0.2, 0.1]]), "diff_prob")
-        assert cv.values[0] == pytest.approx(0.5)
+        assert cv[0] == pytest.approx(0.5)
 
     def test_diff_prob_tie(self):
         cv = compute_confidence(np.array([[0.5, 0.5]]), "diff_prob")
-        assert cv.values[0] == pytest.approx(0.0)
+        assert cv[0] == pytest.approx(0.0)
 
     def test_diff_prob_needs_two_classes(self):
         with pytest.raises(ValueError, match="2 classes"):
@@ -164,40 +163,38 @@ class TestConfidence:
         rng = np.random.default_rng(5)
         probs = rng.dirichlet(np.ones(4), size=50)
         perm = rng.permutation(50)
-        direct = compute_confidence(probs, metric).values
-        permuted = compute_confidence(probs[perm], metric).values
+        direct = compute_confidence(probs, metric)
+        permuted = compute_confidence(probs[perm], metric)
         np.testing.assert_array_equal(permuted, direct[perm])
 
     def test_diff_at_most_max_per_row(self):
         rng = np.random.default_rng(6)
         probs = rng.dirichlet(np.ones(5), size=200)
-        max_p = compute_confidence(probs, "max_prob").values
-        diff_p = compute_confidence(probs, "diff_prob").values
+        max_p = compute_confidence(probs, "max_prob")
+        diff_p = compute_confidence(probs, "diff_prob")
         assert np.all(diff_p <= max_p + 1e-12)
 
     def test_confidence_vector_range_checked(self):
-        with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            ConfidenceVector(values=[1.2], metric="external")
+        for bad in (1.2, -4.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match=r"\[0, 1\]"):
+                confidence_values([0.5, bad])
+        with pytest.raises(ValueError, match="1-d"):
+            confidence_values([[0.5]])
 
 
 class TestSmallLoss:
     def test_certain_correct_row_near_zero(self):
         scores = compute_small_loss_scores(np.array([[1.0, 0.0, 0.0]]), [0])
-        assert scores.kind == "loss"
-        assert scores.values[0] == pytest.approx(0.0, abs=1e-12)
+        assert scores[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_even_split(self):
         scores = compute_small_loss_scores(np.array([[0.5, 0.5]]), [1])
-        assert scores.values[0] == pytest.approx(math.log(2.0))
+        assert scores[0] == pytest.approx(math.log(2.0))
 
     def test_probability_floor_active(self):
         scores = compute_small_loss_scores(np.array([[0.0, 1.0]]), [0])
-        assert scores.values[0] == pytest.approx(-math.log(1e-12))
+        assert scores[0] == pytest.approx(-math.log(1e-12))
 
     def test_label_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
             compute_small_loss_scores(np.array([[0.5, 0.5]]), [2])
-
-    def test_aux_scores_kind_checked(self):
-        with pytest.raises(ValueError, match="kind"):
-            AuxScores(values=[1.0], kind="nope")

@@ -6,8 +6,7 @@ from neighborprune.objective import (
     Utility,
     marginal_gain_exact,
     marginal_gain_paper,
-    neighborhood_confidence,
-    paper_gain_vector,
+    marginal_gains_paper,
     total_objective,
 )
 from neighborprune.similarity import build_graph
@@ -66,20 +65,20 @@ class TestSelectionState:
     def test_empty_state_all_zero(self, tiny_graph):
         state = SelectionState(tiny_graph, TINY_CONF)
         for i in range(3):
-            assert neighborhood_confidence(state, i) == 0.0
+            assert state.nbr_conf[i] == 0.0
 
     def test_worked_value_from_two_selections(self, tiny_graph):
         state = state_with(tiny_graph, TINY_CONF, [1, 2])
-        assert neighborhood_confidence(state, 0) == pytest.approx(0.8, abs=1e-12)
+        assert state.nbr_conf[0] == pytest.approx(0.8, abs=1e-12)
 
     def test_self_term_for_isolated_selection(self, tiny_graph):
         state = state_with(tiny_graph, TINY_CONF, [2])
-        assert neighborhood_confidence(state, 2) == pytest.approx(0.7, abs=1e-12)
+        assert state.nbr_conf[2] == pytest.approx(0.7, abs=1e-12)
 
     def test_index_out_of_range(self, tiny_graph):
         state = SelectionState(tiny_graph, TINY_CONF)
         with pytest.raises(IndexError):
-            neighborhood_confidence(state, 3)
+            state.add(3)
 
     def test_double_add_rejected(self, tiny_graph):
         state = state_with(tiny_graph, TINY_CONF, [0])
@@ -216,7 +215,7 @@ class TestMarginalGains:
         graph = build_graph(emb, 0.4)
         util = Utility("tanh")
         state = state_with(graph, conf, [3, 7, 11])
-        vector = paper_gain_vector(state, util)
-        for x in range(30):
-            if not state.in_set[x]:
-                assert vector[x] == marginal_gain_paper(state, x, util)
+        cands = np.flatnonzero(~state.in_set)
+        vector = marginal_gains_paper(state, cands, util)
+        for x, gain in zip(cands.tolist(), vector.tolist()):
+            assert gain == marginal_gain_paper(state, x, util)

@@ -126,6 +126,19 @@ class TestGreedySelection:
         with pytest.raises(ValueError, match="tau"):
             select_prune4rel(ds, graph, TINY_CONF, config)
 
+    @pytest.mark.parametrize("bad", [np.nan, -4.0, 2.5])
+    def test_confidence_outside_unit_interval_rejected(self, bad):
+        rng = np.random.default_rng(36)
+        emb = rng.standard_normal((40, 4))
+        conf = rng.uniform(0, 1, 40)
+        conf[3] = bad
+        graph = build_graph(emb, 0.4)
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            greedy_sequence(graph, conf, 5)
+        config = SelectorConfig(method="prune4rel", budget=5, tau=0.4)
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            run_selection(config, confidence=conf, graph=graph)
+
     def test_budget_beyond_m_rejected(self):
         ds = tiny_dataset()
         graph = build_graph(ds.embeddings, 0.5)
@@ -334,6 +347,12 @@ class TestRunSelection:
         config = SelectorConfig(method=method, budget=2)
         report = run_selection(config, scores=np.array([0.5, 0.1, 0.9]))
         assert report.selected == expected
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_scores_rejected(self, bad):
+        config = SelectorConfig(method="forgetting", budget=2)
+        with pytest.raises(ValueError, match="finite"):
+            run_selection(config, scores=np.array([0.5, bad, 0.9]))
 
     def test_balanced_label_out_of_range_rejected(self):
         emb = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, 0.1]])

@@ -1,13 +1,7 @@
 import numpy as np
 import pytest
 
-from neighborprune.similarity import (
-    GuardError,
-    build_graph,
-    cosine_similarity,
-    load_graph,
-    save_graph,
-)
+from neighborprune.similarity import GuardError, build_graph, cosine_similarity
 
 
 def edge_set(graph):
@@ -130,34 +124,3 @@ class TestBuildGraph:
                     assert wij == pytest.approx(
                         cosine_similarity(emb[i], emb[j]), abs=1e-12
                     )
-
-
-class TestGraphCache:
-    def test_round_trip_within_float32(self, tmp_path):
-        rng = np.random.default_rng(13)
-        emb = rng.standard_normal((40, 5))
-        graph = build_graph(emb, 0.35)
-        path = tmp_path / "graph.nbgr"
-        save_graph(path, graph)
-        loaded = load_graph(path)
-        assert loaded.tau == graph.tau
-        assert loaded.num_rows == graph.num_rows
-        np.testing.assert_array_equal(loaded.indptr, graph.indptr)
-        np.testing.assert_array_equal(loaded.indices, graph.indices)
-        np.testing.assert_allclose(loaded.weights, graph.weights, atol=1e-6)
-        loaded.validate()
-
-    def test_truncated_cache_rejected(self, tmp_path):
-        graph = build_graph(np.eye(3), 0.5)
-        path = tmp_path / "graph.nbgr"
-        save_graph(path, graph)
-        blob = path.read_bytes()
-        path.write_bytes(blob[:-3])
-        with pytest.raises(ValueError, match="truncated"):
-            load_graph(path)
-
-    def test_wrong_magic_rejected(self, tmp_path):
-        path = tmp_path / "graph.nbgr"
-        path.write_bytes(b"ZZZZ" + b"\x00" * 32)
-        with pytest.raises(ValueError, match="not a graph cache"):
-            load_graph(path)

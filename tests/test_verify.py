@@ -101,7 +101,7 @@ class TestSyntheticGenerator:
         )
         conf = compute_confidence(ds.probabilities, "max_prob")
         flipped = ds.noisy_labels != ds.ground_truth_labels
-        assert conf.values[~flipped].mean() > conf.values[flipped].mean() + 0.3
+        assert conf[~flipped].mean() > conf[flipped].mean() + 0.3
 
 
 class TestExpansionSeparation:
