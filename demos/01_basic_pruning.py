@@ -18,9 +18,9 @@ from neighborprune import (
     compute_small_loss_scores,
     generate_synthetic,
     measure_expansion_separation,
+    run_selection,
     select_by_score,
     select_kcenter_greedy,
-    select_prune4rel,
     select_uniform,
 )
 
@@ -35,7 +35,7 @@ config = SynthConfig(
     seed=7,
 )
 dataset = generate_synthetic(config)
-m = dataset.num_examples
+m = len(dataset.noisy_labels)
 flipped = dataset.noisy_labels != dataset.ground_truth_labels
 print(f"dataset: m={m}, {int(flipped.sum())} mislabeled ({flipped.mean():.0%})")
 
@@ -50,16 +50,17 @@ print(
 # --- neighborhood structure ---------------------------------------------------
 tau = 0.9725
 graph = build_graph(dataset.embeddings, tau, threads=4)
-alpha, beta = measure_expansion_separation(dataset, graph)
+alpha, beta = measure_expansion_separation(dataset.ground_truth_labels, graph)
 print(f"graph at tau={tau}: mean neighbors {alpha:.1f}, cross-class share {beta:.3f}")
 
 # --- selection at a 20% budget -----------------------------------------------
 budget = 0.2
-report = select_prune4rel(
-    dataset,
-    graph,
-    confidence,
+report = run_selection(
     SelectorConfig(method="prune4rel", budget=budget, tau=tau, seed=7),
+    noisy_labels=dataset.noisy_labels,
+    ground_truth_labels=dataset.ground_truth_labels,
+    confidence=confidence,
+    graph=graph,
 )
 print(
     f"\ngreedy neighborhood confidence: objective {report.objective_value:.1f}, "

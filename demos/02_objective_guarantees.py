@@ -46,7 +46,7 @@ for trial in range(200):
     for x in picked:
         state.add(x)
     achieved = total_objective(state, util)
-    _, optimum = brute_force_optimum(None, g, c, s, util)
+    _, optimum = brute_force_optimum(g, c, s, util)
     worst = min(worst, achieved / optimum)
 print(f"greedy/optimum over 200 random instances: worst ratio {worst:.4f}")
 print(f"guaranteed floor 1 - 1/e = {1 - 1 / np.e:.4f}\n")

@@ -26,9 +26,9 @@ from neighborprune import (
     load_labels,
     load_matrix,
     relabel_proxy,
+    run_selection,
     save_labels,
     save_matrix,
-    select_prune4rel,
 )
 from neighborprune.verify import write_correlation_csv
 
@@ -49,12 +49,15 @@ graph = build_graph(dataset.embeddings, tau, threads=4)
 
 # --- correction rate vs neighborhood confidence --------------------------------
 config = SelectorConfig(method="prune4rel", budget=0.2, tau=tau)
-report = select_prune4rel(dataset, graph, confidence, config)
+report = run_selection(config, confidence=confidence, graph=graph)
 
 state = SelectionState(graph, confidence)
 for x in report.selected:
     state.add(x)
-corrected = relabel_proxy(dataset, graph, confidence, report.selected)
+corrected = relabel_proxy(
+    dataset.noisy_labels, dataset.ground_truth_labels, graph, confidence,
+    report.selected,
+)
 corr = correlation_report(state.nbr_conf, corrected, num_bins=15)
 
 print(f"spearman(neighborhood confidence, corrected) = {corr.spearman:.3f}")
@@ -67,9 +70,12 @@ for lo, _hi, count, rate in corr.rows():
 # --- subset noise ratio vs budget ----------------------------------------------
 print("\nsubset noise ratio by budget (population 20%):")
 for ratio in (0.2, 0.4, 0.6, 0.8):
-    rep = select_prune4rel(
-        dataset, graph, confidence,
+    rep = run_selection(
         SelectorConfig(method="prune4rel", budget=float(ratio), tau=tau),
+        noisy_labels=dataset.noisy_labels,
+        ground_truth_labels=dataset.ground_truth_labels,
+        confidence=confidence,
+        graph=graph,
     )
     print(f"  budget {ratio:.0%}: {rep.noise_ratio:6.1%}")
 

@@ -10,7 +10,6 @@ data generation.
 __version__ = "0.1.0"
 
 from .dataset import (
-    Dataset,
     FormatError,
     compute_confidence,
     compute_small_loss_scores,
@@ -40,7 +39,6 @@ from .selectors import (
     select_kcenter_greedy,
     select_margin,
     select_moderate,
-    select_prune4rel,
     select_uniform,
 )
 from .similarity import (

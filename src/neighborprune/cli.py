@@ -346,7 +346,7 @@ def cmd_synth(args) -> int:
             noisy_confidence=(args.noisy_conf_mean, args.noisy_conf_std),
             seed=args.seed,
         )
-        dataset = verify_mod.generate_synthetic(config)
+        data = verify_mod.generate_synthetic(config)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     out_dir = Path(args.out)
@@ -357,11 +357,11 @@ def cmd_synth(args) -> int:
         "noisy_labels": out_dir / "noisy_labels.txt",
         "true_labels": out_dir / "true_labels.txt",
     }
-    save_matrix(paths["embeddings"], dataset.embeddings)
-    save_matrix(paths["probabilities"], dataset.probabilities)
-    save_labels(paths["noisy_labels"], dataset.noisy_labels)
-    save_labels(paths["true_labels"], dataset.ground_truth_labels)
-    flips = int(np.count_nonzero(dataset.noisy_labels != dataset.ground_truth_labels))
+    save_matrix(paths["embeddings"], data.embeddings)
+    save_matrix(paths["probabilities"], data.probabilities)
+    save_labels(paths["noisy_labels"], data.noisy_labels)
+    save_labels(paths["true_labels"], data.ground_truth_labels)
+    flips = int(np.count_nonzero(data.noisy_labels != data.ground_truth_labels))
     manifest = RunManifest(
         command="synth",
         config={
@@ -380,7 +380,7 @@ def cmd_synth(args) -> int:
     )
     manifest.write(out_dir / "manifest.json")
     print(
-        f"wrote {dataset.num_examples} examples ({flips} flipped labels) to {out_dir}"
+        f"wrote {len(data.noisy_labels)} examples ({flips} flipped labels) to {out_dir}"
     )
     return 0
 

@@ -10,7 +10,6 @@ arrays and validated eagerly; non-finite values anywhere are hard errors.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -38,11 +37,6 @@ def _require_finite(values: np.ndarray, what: str) -> None:
     if not np.isfinite(values).all():
         bad = int(np.flatnonzero(~np.isfinite(values).reshape(-1))[0])
         raise FormatError(f"non-finite value in {what} (flat position {bad})")
-
-
-def _frozen(values: np.ndarray) -> np.ndarray:
-    values.flags.writeable = False
-    return values
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +201,7 @@ def load_external_confidence(path: str | Path) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Domain types
+# Derived quantities
 # ---------------------------------------------------------------------------
 
 def _validate_probabilities(probs: np.ndarray, where: str = "probabilities") -> None:
@@ -223,79 +217,6 @@ def _validate_probabilities(probs: np.ndarray, where: str = "probabilities") -> 
             f"{where}: row {int(bad[0])} sums to {sums[bad[0]]:.8f}, expected 1"
         )
 
-
-@dataclass(frozen=True)
-class Dataset:
-    """A noisily-labeled training set in embedding space.
-
-    Invariants enforced at construction: embedding rows have nonzero norm,
-    label values are below num_classes, probability rows (when present) are
-    valid distributions, and all lengths agree. Arrays are frozen after
-    construction so instances can be shared across threads.
-    """
-
-    embeddings: np.ndarray
-    noisy_labels: np.ndarray
-    num_classes: int
-    probabilities: np.ndarray | None = None
-    ground_truth_labels: np.ndarray | None = None
-
-    def __post_init__(self):
-        emb = np.array(self.embeddings, dtype=np.float64)
-        if emb.ndim != 2:
-            raise ValueError(f"embeddings must be 2-d, got shape {emb.shape}")
-        _require_finite(emb, "embeddings")
-        norms = np.linalg.norm(emb, axis=1)
-        zero = np.flatnonzero(norms == 0.0)
-        if zero.size:
-            raise ValueError(f"embedding row {int(zero[0])} has zero norm")
-        m = emb.shape[0]
-
-        labels = np.array(self.noisy_labels, dtype=np.int64)
-        self._check_labels(labels, m, "noisy_labels")
-
-        gt = self.ground_truth_labels
-        if gt is not None:
-            gt = np.array(gt, dtype=np.int64)
-            self._check_labels(gt, m, "ground_truth_labels")
-            gt = _frozen(gt)
-
-        probs = self.probabilities
-        if probs is not None:
-            probs = np.array(probs, dtype=np.float64)
-            if probs.shape != (m, self.num_classes):
-                raise ValueError(
-                    f"probabilities shape {probs.shape} does not match "
-                    f"(m={m}, c={self.num_classes})"
-                )
-            _validate_probabilities(probs)
-            probs = _frozen(probs)
-
-        object.__setattr__(self, "embeddings", _frozen(emb))
-        object.__setattr__(self, "noisy_labels", _frozen(labels))
-        object.__setattr__(self, "probabilities", probs)
-        object.__setattr__(self, "ground_truth_labels", gt)
-
-    def _check_labels(self, labels: np.ndarray, m: int, what: str) -> None:
-        if labels.ndim != 1 or labels.size != m:
-            raise ValueError(f"{what} must be a length-{m} vector")
-        if self.num_classes < 1:
-            raise ValueError("num_classes must be positive")
-        if labels.size and (labels.min() < 0 or labels.max() >= self.num_classes):
-            raise ValueError(f"{what} contains a value outside [0, {self.num_classes})")
-
-    @property
-    def num_examples(self) -> int:
-        return self.embeddings.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.embeddings.shape[1]
-
-
-# ---------------------------------------------------------------------------
-# Derived quantities
-# ---------------------------------------------------------------------------
 
 def compute_confidence(probabilities: np.ndarray, metric: str) -> np.ndarray:
     """Derive per-example confidence from softmax probability rows.

@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import Dataset, _validate_probabilities, compute_small_loss_scores
+from .dataset import _validate_probabilities, compute_small_loss_scores
 from .objective import (
     SelectionState,
     Utility,
@@ -296,33 +296,6 @@ def _check_graph_matches(graph: NeighborGraph, config: SelectorConfig, m: int) -
         )
 
 
-def select_prune4rel(
-    dataset: Dataset,
-    graph: NeighborGraph,
-    confidence,
-    config: SelectorConfig,
-    graph_build_s: float = 0.0,
-) -> PruneReport:
-    """Greedy selection maximizing total neighborhood-confidence utility.
-
-    config.method picks the candidate pools: prune4rel draws from all
-    examples; prune4rel_balanced round-robins the greedy step over the
-    classes (grouped by noisy label), skipping exhausted classes and
-    stopping the moment the budget is reached.
-    """
-    if config.method not in GREEDY_METHODS:
-        raise ValueError(f"{config.method!r} is not a greedy method")
-    return run_selection(
-        config,
-        noisy_labels=dataset.noisy_labels,
-        num_classes=dataset.num_classes,
-        confidence=confidence,
-        ground_truth_labels=dataset.ground_truth_labels,
-        graph=graph,
-        graph_build_s=graph_build_s,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Baselines
 # ---------------------------------------------------------------------------
@@ -406,7 +379,7 @@ def select_moderate(embeddings: np.ndarray, noisy_labels: np.ndarray, s: int,
 
 
 # ---------------------------------------------------------------------------
-# Uniform dispatch (used by the command-line front end)
+# Uniform dispatch (the entry point of the library and the command line)
 # ---------------------------------------------------------------------------
 
 def run_selection(
@@ -424,6 +397,8 @@ def run_selection(
 ) -> PruneReport:
     """Run any selection method from loose inputs and produce a full report.
 
+    prune4rel draws from all examples; prune4rel_balanced round-robins the
+    greedy step over the classes of noisy_labels, skipping exhausted ones.
     Raises ValueError naming the missing inputs for the chosen method
     (METHOD_TABLE lists what each method reads).
     """

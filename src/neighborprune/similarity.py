@@ -114,6 +114,21 @@ def _pair_edges(
     return rows + a_lo, cols + b_lo, sims[mask]
 
 
+def _under_cap(produced, edge_cap: int, tau: float) -> list:
+    """Block-pair edges in order, raising GuardError at the first pair that
+    takes the stored-entry count over edge_cap."""
+    results, stored = [], 0
+    for rows, cols, w in produced:
+        stored += 2 * rows.size - int(np.count_nonzero(rows == cols))
+        if stored > edge_cap:
+            raise GuardError(
+                f"thresholded graph exceeds the edge cap ({edge_cap} stored "
+                f"entries) at tau={tau}; raise tau or the cap"
+            )
+        results.append((rows, cols, w))
+    return results
+
+
 def build_graph(
     embeddings: np.ndarray,
     tau: float,
@@ -155,21 +170,19 @@ def build_graph(
     # With one thread the caller does the work itself: a lone worker thread
     # would get a second malloc arena that keeps a block pair's temporaries
     # resident beside the caller's (about 10 MB more peak RSS at m = 20000).
+    # Both paths yield pairs in order, and _under_cap stops at the first pair
+    # that trips the guard; closing the pool's iterator cancels pending pairs.
     if threads <= 1:
-        results = [_pair_edges(normalized, tau, a, b) for a, b in pairs]
+        results = _under_cap(
+            (_pair_edges(normalized, tau, a, b) for a, b in pairs), edge_cap, tau
+        )
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(_pair_edges, normalized, tau, a, b) for a, b in pairs]
-            results = [f.result() for f in futures]
-
-    stored = 0
-    for rows, cols, _ in results:
-        stored += 2 * rows.size - int(np.count_nonzero(rows == cols))
-        if stored > edge_cap:
-            raise GuardError(
-                f"thresholded graph exceeds the edge cap ({edge_cap} stored "
-                f"entries) at tau={tau}; raise tau or the cap"
-            )
+            produced = pool.map(lambda ab: _pair_edges(normalized, tau, *ab), pairs)
+            try:
+                results = _under_cap(produced, edge_cap, tau)
+            finally:
+                produced.close()
 
     upper_rows = np.concatenate([r for r, _, _ in results])
     upper_cols = np.concatenate([c for _, c, _ in results])

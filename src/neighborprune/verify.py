@@ -18,14 +18,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import Dataset, compute_confidence
+from .dataset import compute_confidence
 from .objective import SelectionState, Utility, confidence_values, marginal_gain_exact, total_objective
 from .selectors import (
     SelectorConfig,
     greedy_sequence,
+    run_selection,
     select_by_score,
     select_kcenter_greedy,
-    select_prune4rel,
 )
 from .similarity import GuardError, NeighborGraph, build_graph
 
@@ -73,7 +73,18 @@ class SynthConfig:
             raise ValueError(f"unknown noise model {self.noise_model!r}")
 
 
-def generate_synthetic(config: SynthConfig) -> Dataset:
+@dataclass(frozen=True)
+class SyntheticData:
+    """Output of generate_synthetic; valid by construction."""
+
+    embeddings: np.ndarray
+    noisy_labels: np.ndarray
+    ground_truth_labels: np.ndarray
+    probabilities: np.ndarray
+    num_classes: int
+
+
+def generate_synthetic(config: SynthConfig) -> SyntheticData:
     """Sample the clustered dataset and inject exactly
     floor(noise_rate * points_per_class) label flips per class."""
     c = config.num_classes
@@ -126,24 +137,18 @@ def generate_synthetic(config: SynthConfig) -> Dataset:
         probs = ((1.0 - conf) / (c - 1))[:, None] * np.ones((m, c))
         probs[np.arange(m), noisy] = conf
 
-    return Dataset(
-        embeddings=points,
-        noisy_labels=noisy,
-        num_classes=c,
-        probabilities=probs,
-        ground_truth_labels=truth,
-    )
+    return SyntheticData(points, noisy, truth, probs, c)
 
 
 def measure_expansion_separation(
-    dataset: Dataset, graph: NeighborGraph
+    ground_truth_labels, graph: NeighborGraph
 ) -> tuple[float, float]:
     """Mean non-self neighbor count, and mean fraction of non-self neighbors
     whose ground-truth class differs (isolated examples contribute 0)."""
-    if dataset.ground_truth_labels is None:
-        raise ValueError("expansion/separation measurement needs ground truth")
-    truth = dataset.ground_truth_labels
+    truth = np.asarray(ground_truth_labels, dtype=np.int64)
     m = graph.num_rows
+    if truth.shape != (m,):
+        raise ValueError(f"ground_truth_labels must be a length-{m} vector")
     degrees = graph.degrees()
     row_ids = np.repeat(np.arange(m), degrees)
     nonself = graph.indices != row_ids
@@ -159,7 +164,6 @@ def measure_expansion_separation(
 # ---------------------------------------------------------------------------
 
 def brute_force_optimum(
-    dataset: Dataset | None,
     graph: NeighborGraph,
     confidence,
     s: int,
@@ -172,8 +176,6 @@ def brute_force_optimum(
     C(m, s) <= 10^7 enumerated subsets.
     """
     m = graph.num_rows
-    if dataset is not None and dataset.num_examples != m:
-        raise ValueError("dataset and graph disagree on m")
     if not 1 <= s <= m:
         raise ValueError(f"subset size {s} out of range for m={m}")
     total = math.comb(m, s)
@@ -207,25 +209,27 @@ def brute_force_optimum(
 
 
 def relabel_proxy(
-    dataset: Dataset, graph: NeighborGraph, confidence, selected
+    noisy_labels, ground_truth_labels, graph: NeighborGraph, confidence, selected
 ) -> np.ndarray:
     """Neighborhood-vote label correction: every selected neighbor votes for
     its own noisy label with weight(i, k) * C(k); an example counts as
     corrected when the winning vote equals its ground-truth label. All-zero
     votes abstain (not corrected). Returns a boolean vector."""
-    if dataset.ground_truth_labels is None:
-        raise ValueError("the re-labeling proxy needs ground truth")
     if graph.tau < 0.0:
         raise ValueError("the re-labeling proxy requires tau >= 0")
     conf = confidence_values(confidence)
     m = graph.num_rows
-    votes = np.zeros((m, dataset.num_classes))
+    noisy = np.asarray(noisy_labels, dtype=np.int64)
+    truth = np.asarray(ground_truth_labels, dtype=np.int64)
+    if noisy.shape != (m,) or truth.shape != (m,) or noisy.min() < 0:
+        raise ValueError(f"label arrays must be length-{m} vectors of classes >= 0")
+    votes = np.zeros((m, int(noisy.max()) + 1))
     for k in np.asarray(selected, dtype=np.int64):
         idx, w = graph.neighbors(int(k))
-        votes[idx, dataset.noisy_labels[k]] += w * conf[k]
+        votes[idx, noisy[k]] += w * conf[k]
     has_votes = votes.sum(axis=1) > 0.0
     predicted = np.argmax(votes, axis=1)
-    return has_votes & (predicted == dataset.ground_truth_labels)
+    return has_votes & (predicted == truth)
 
 
 @dataclass
@@ -247,15 +251,6 @@ class CorrelationReport:
             )
             for k in range(self.counts.size)
         ]
-
-    def to_dict(self) -> dict:
-        return {
-            "spearman": self.spearman,
-            "bins": [
-                {"bin_lo": lo, "bin_hi": hi, "count": n, "correction_rate": rate}
-                for lo, hi, n, rate in self.rows()
-            ],
-        }
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
@@ -373,7 +368,7 @@ def check_greedy_bound(
         for x in selected:
             state.add(x)
         greedy_obj = total_objective(state, utility)
-        _, best_obj = brute_force_optimum(None, graph, conf, s, utility)
+        _, best_obj = brute_force_optimum(graph, conf, s, utility)
         margin = greedy_obj - APPROX_FACTOR * best_obj
         worst_margin = min(worst_margin, margin)
         if margin < -PROBE_TOL:
@@ -585,16 +580,18 @@ def trend_correction_correlation(
     high neighborhood confidence: Spearman rho above 0.5, correction rate
     non-decreasing across the bottom bins, and a higher mean confidence for
     corrected than uncorrected examples."""
-    dataset = generate_synthetic(SynthConfig(seed=seed, **TREND_SYNTH))
-    conf = compute_confidence(dataset.probabilities, "max_prob")
-    graph = build_graph(dataset.embeddings, tau)
+    data = generate_synthetic(SynthConfig(seed=seed, **TREND_SYNTH))
+    conf = compute_confidence(data.probabilities, "max_prob")
+    graph = build_graph(data.embeddings, tau)
     config = SelectorConfig(method="prune4rel", budget=budget, tau=tau)
-    report = select_prune4rel(dataset, graph, conf, config)
+    report = run_selection(config, confidence=conf, graph=graph)
 
     state = SelectionState(graph, conf)
     for x in report.selected:
         state.add(x)
-    corrected = relabel_proxy(dataset, graph, conf, report.selected)
+    corrected = relabel_proxy(
+        data.noisy_labels, data.ground_truth_labels, graph, conf, report.selected
+    )
     corr = correlation_report(state.nbr_conf, corrected, num_bins)
 
     mean_corrected = float(state.nbr_conf[corrected].mean()) if corrected.any() else 0.0
@@ -637,16 +634,20 @@ def trend_subset_noise_ratio(
 ) -> CheckResult:
     """The selected subset's noise ratio must grow with the budget and sit
     below the population noise rate at the smallest budget."""
-    dataset = generate_synthetic(SynthConfig(seed=seed, **TREND_SYNTH))
-    conf = compute_confidence(dataset.probabilities, "max_prob")
-    graph = build_graph(dataset.embeddings, tau)
-    population = float(
-        np.mean(dataset.noisy_labels != dataset.ground_truth_labels)
-    )
+    data = generate_synthetic(SynthConfig(seed=seed, **TREND_SYNTH))
+    conf = compute_confidence(data.probabilities, "max_prob")
+    graph = build_graph(data.embeddings, tau)
+    population = float(np.mean(data.noisy_labels != data.ground_truth_labels))
     observed = []
     for ratio in ratios:
         config = SelectorConfig(method="prune4rel", budget=float(ratio), tau=tau)
-        report = select_prune4rel(dataset, graph, conf, config)
+        report = run_selection(
+            config,
+            noisy_labels=data.noisy_labels,
+            ground_truth_labels=data.ground_truth_labels,
+            confidence=conf,
+            graph=graph,
+        )
         observed.append(report.noise_ratio)
     nondecreasing = all(b >= a for a, b in zip(observed, observed[1:]))
     ok = nondecreasing and observed[0] < population

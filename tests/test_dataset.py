@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from neighborprune.dataset import (
-    Dataset,
     FormatError,
     compute_confidence,
     compute_small_loss_scores,
@@ -110,34 +109,6 @@ class TestLineFormats:
         save_matrix(tmp_path / "p.bin", np.array([[0.7, 0.2]]))
         with pytest.raises(ValueError, match="sums to"):
             load_probabilities(tmp_path / "p.bin")
-
-
-class TestDatasetInvariants:
-    def test_zero_norm_embedding_rejected(self):
-        with pytest.raises(ValueError, match="row 1 has zero norm"):
-            Dataset(
-                embeddings=[[1.0, 0.0], [0.0, 0.0]],
-                noisy_labels=[0, 1],
-                num_classes=2,
-            )
-
-    def test_label_out_of_range_rejected(self):
-        with pytest.raises(ValueError, match="outside"):
-            Dataset(embeddings=[[1.0], [2.0]], noisy_labels=[0, 2], num_classes=2)
-
-    def test_probability_shape_checked(self):
-        with pytest.raises(ValueError, match="shape"):
-            Dataset(
-                embeddings=[[1.0], [2.0]],
-                noisy_labels=[0, 1],
-                num_classes=2,
-                probabilities=[[0.5, 0.5]],
-            )
-
-    def test_arrays_frozen(self):
-        ds = Dataset(embeddings=[[1.0], [2.0]], noisy_labels=[0, 1], num_classes=2)
-        with pytest.raises(ValueError):
-            ds.embeddings[0, 0] = 5.0
 
 
 class TestConfidence:

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from neighborprune.dataset import Dataset, compute_confidence
+from neighborprune.dataset import compute_confidence
 from neighborprune.objective import Utility
 from neighborprune.selectors import (
     PruneReport,
@@ -15,17 +15,13 @@ from neighborprune.selectors import (
     select_kcenter_greedy,
     select_margin,
     select_moderate,
-    select_prune4rel,
     select_uniform,
 )
 from neighborprune.similarity import build_graph
 
 TINY_EMB = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 TINY_CONF = np.array([0.9, 0.8, 0.7])
-
-
-def tiny_dataset():
-    return Dataset(embeddings=TINY_EMB, noisy_labels=[0, 0, 1], num_classes=2)
+TINY_LABELS = np.array([0, 0, 1])
 
 
 class TestBudget:
@@ -107,10 +103,11 @@ class TestGreedySelection:
         assert {int(perm[k]) for k in seq_p} == base
 
     def test_report_fields(self):
-        ds = tiny_dataset()
-        graph = build_graph(ds.embeddings, 0.5)
+        graph = build_graph(TINY_EMB, 0.5)
         config = SelectorConfig(method="prune4rel", budget=2, tau=0.5)
-        report = select_prune4rel(ds, graph, TINY_CONF, config)
+        report = run_selection(
+            config, noisy_labels=TINY_LABELS, confidence=TINY_CONF, graph=graph
+        )
         assert report.selected == [0, 2]
         assert report.per_class_counts == [1, 1]
         assert report.noise_ratio is None
@@ -120,11 +117,12 @@ class TestGreedySelection:
         assert report.objective_value == pytest.approx(expected_obj, abs=1e-9)
 
     def test_graph_tau_mismatch_rejected(self):
-        ds = tiny_dataset()
-        graph = build_graph(ds.embeddings, 0.5)
+        graph = build_graph(TINY_EMB, 0.5)
         config = SelectorConfig(method="prune4rel", budget=2, tau=0.7)
         with pytest.raises(ValueError, match="tau"):
-            select_prune4rel(ds, graph, TINY_CONF, config)
+            run_selection(
+                config, noisy_labels=TINY_LABELS, confidence=TINY_CONF, graph=graph
+            )
 
     @pytest.mark.parametrize("bad", [np.nan, -4.0, 2.5])
     def test_confidence_outside_unit_interval_rejected(self, bad):
@@ -140,20 +138,23 @@ class TestGreedySelection:
             run_selection(config, confidence=conf, graph=graph)
 
     def test_budget_beyond_m_rejected(self):
-        ds = tiny_dataset()
-        graph = build_graph(ds.embeddings, 0.5)
+        graph = build_graph(TINY_EMB, 0.5)
         config = SelectorConfig(method="prune4rel", budget=4, tau=0.5)
         with pytest.raises(ValueError, match="exceeds"):
-            select_prune4rel(ds, graph, TINY_CONF, config)
+            run_selection(
+                config, noisy_labels=TINY_LABELS, confidence=TINY_CONF, graph=graph
+            )
 
 
 class TestBalancedSelection:
     def balanced(self, labels, conf, s, num_classes):
         emb = np.random.default_rng(35).standard_normal((len(labels), 4))
-        ds = Dataset(embeddings=emb, noisy_labels=labels, num_classes=num_classes)
         graph = build_graph(emb, 1.0)
         config = SelectorConfig(method="prune4rel_balanced", budget=s, tau=1.0)
-        return select_prune4rel(ds, graph, conf, config)
+        return run_selection(
+            config, noisy_labels=labels, num_classes=num_classes, confidence=conf,
+            graph=graph,
+        )
 
     def test_even_split_two_classes(self):
         labels = [0, 1] * 6
@@ -310,11 +311,12 @@ class TestRunSelection:
         assert report.selected == [0]
 
     def test_report_json_contract(self):
-        ds = tiny_dataset()
-        graph = build_graph(ds.embeddings, 0.5)
+        graph = build_graph(TINY_EMB, 0.5)
         conf = np.asarray(TINY_CONF)
         config = SelectorConfig(method="prune4rel", budget=2, tau=0.5)
-        report = select_prune4rel(ds, graph, conf, config)
+        report = run_selection(
+            config, noisy_labels=TINY_LABELS, confidence=conf, graph=graph
+        )
         payload = json.loads(report.to_json())
         assert list(payload) == [
             "selected_count",
@@ -328,15 +330,15 @@ class TestRunSelection:
         assert payload["selected_count"] == 2
 
     def test_noise_ratio_with_ground_truth(self):
-        ds = Dataset(
-            embeddings=TINY_EMB,
-            noisy_labels=[0, 0, 1],
-            num_classes=2,
-            ground_truth_labels=[0, 1, 1],
-        )
-        graph = build_graph(ds.embeddings, 0.5)
+        graph = build_graph(TINY_EMB, 0.5)
         config = SelectorConfig(method="prune4rel", budget=2, tau=0.5)
-        report = select_prune4rel(ds, graph, TINY_CONF, config)
+        report = run_selection(
+            config,
+            noisy_labels=TINY_LABELS,
+            ground_truth_labels=[0, 1, 1],
+            confidence=TINY_CONF,
+            graph=graph,
+        )
         # selected [0, 2]: neither is mislabeled
         assert report.noise_ratio == 0.0
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from neighborprune import similarity
 from neighborprune.similarity import GuardError, build_graph, cosine_similarity
 
 
@@ -76,6 +77,22 @@ class TestBuildGraph:
         emb = np.random.default_rng(1).standard_normal((40, 3))
         with pytest.raises(GuardError, match="edge cap"):
             build_graph(emb, 0.0, edge_cap=10)
+
+    def test_edge_cap_guard_stops_at_the_tripping_pair(self, monkeypatch):
+        # 400 rows in blocks of 100 make 10 block pairs; the first one alone
+        # stores far more than 1000 entries at tau = -0.9.
+        calls = []
+        pair_edges = similarity._pair_edges
+
+        def counted(*args):
+            calls.append(args[2:])  # the block pair (a, b)
+            return pair_edges(*args)
+
+        monkeypatch.setattr(similarity, "_pair_edges", counted)
+        emb = np.random.default_rng(2).standard_normal((400, 8))
+        with pytest.raises(GuardError, match="edge cap"):
+            build_graph(emb, -0.9, block_size=100, threads=1, edge_cap=1000)
+        assert calls == [((0, 100), (0, 100))]
 
     def test_raising_tau_never_adds_edges(self):
         rng = np.random.default_rng(7)
