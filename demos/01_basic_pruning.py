@@ -49,7 +49,7 @@ print(
 
 # --- neighborhood structure ---------------------------------------------------
 tau = 0.9725
-graph = build_graph(dataset.embeddings, tau, threads=4)
+graph = build_graph(dataset.embeddings, tau)
 alpha, beta = measure_expansion_separation(dataset.ground_truth_labels, graph)
 print(f"graph at tau={tau}: mean neighbors {alpha:.1f}, cross-class share {beta:.3f}")
 

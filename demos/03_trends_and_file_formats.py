@@ -45,7 +45,7 @@ dataset = generate_synthetic(
 )
 confidence = compute_confidence(dataset.probabilities, "max_prob")
 tau = 0.9725
-graph = build_graph(dataset.embeddings, tau, threads=4)
+graph = build_graph(dataset.embeddings, tau)
 
 # --- correction rate vs neighborhood confidence --------------------------------
 config = SelectorConfig(method="prune4rel", budget=0.2, tau=tau)

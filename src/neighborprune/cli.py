@@ -60,10 +60,6 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-def _digest(path: str | Path) -> str:
-    return hashlib.blake2b(Path(path).read_bytes(), digest_size=8).hexdigest()
-
-
 @dataclass
 class RunManifest:
     command: str
@@ -79,7 +75,8 @@ class RunManifest:
 
 def _input_digests(paths: dict[str, str | None]) -> dict[str, str]:
     return {
-        name: _digest(path) for name, path in paths.items() if path is not None
+        name: hashlib.blake2b(Path(path).read_bytes(), digest_size=8).hexdigest()
+        for name, path in paths.items() if path is not None
     }
 
 
@@ -148,7 +145,10 @@ def _add_prune_parser(sub) -> None:
     p.add_argument("--gain-mode", choices=("paper", "exact"), default="paper")
     p.add_argument("--eager", action="store_true", help="disable lazy evaluation")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument(
+        "--threads", type=int, default=1,
+        help="no effect; OPENBLAS_NUM_THREADS caps the graph build's BLAS threads",
+    )
     p.add_argument("--max-edges", type=int, default=DEFAULT_EDGE_CAP)
     p.add_argument("--out", required=True, help="output directory")
 
@@ -204,9 +204,7 @@ def cmd_prune(args) -> int:
     graph_build_s = 0.0
     if needs_graph:
         start = time.perf_counter()
-        graph = build_graph(
-            embeddings, tau, threads=args.threads, edge_cap=args.max_edges
-        )
+        graph = build_graph(embeddings, tau, edge_cap=args.max_edges)
         graph_build_s = time.perf_counter() - start
 
     report = run_selection(
@@ -265,9 +263,10 @@ def _add_eval_parser(sub) -> None:
 def cmd_eval(args) -> int:
     selected = load_selected(args.selected)
     noisy = load_labels(args.noisy_labels)
-    if selected.size and (selected.min() < 0 or selected.max() >= noisy.size):
+    outside = selected[(selected < 0) | (selected >= noisy.size)]
+    if outside.size:
         raise FormatError(
-            f"{args.selected}: index {int(selected.max())} out of range "
+            f"{args.selected}: index {int(outside[0])} out of range "
             f"for {noisy.size} labels"
         )
     if selected.size != np.unique(selected).size:
@@ -401,6 +400,9 @@ def _add_verify_parser(sub) -> None:
 
 
 def cmd_verify(args) -> int:
+    for flag, count in (("--instances", args.instances), ("--probes", args.probes)):
+        if count is not None and count < 1:
+            raise CliError(f"{flag} must be at least 1, got {count}")
     base = args.seed
     results = []
     if args.preset in ("exhaustive", "all"):
@@ -467,7 +469,6 @@ def _add_bench_parser(sub) -> None:
         "--methods", default="prune4rel,kcenter_greedy", help="comma-separated"
     )
     p.add_argument("--seed", type=int, default=20240509)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", help="CSV file (default stdout)")
 
 
@@ -479,6 +480,9 @@ def cmd_bench(args) -> int:
     if not m_list:
         raise CliError("--m-list is empty")
     methods = tuple(tok.strip() for tok in args.methods.split(",") if tok.strip())
+    unknown = [name for name in methods if name not in verify_mod.SCALING_METHODS]
+    if unknown:
+        raise CliError(f"--methods: benchmark does not cover {unknown[0]!r}")
     rows = verify_mod.run_scaling_benchmark(
         m_list,
         d=args.d,
@@ -487,7 +491,6 @@ def cmd_bench(args) -> int:
         seed=args.seed,
         tau=args.tau,
         methods=methods,
-        threads=args.threads,
     )
     lines = ["m,method,seconds"]
     lines += [f"{r['m']},{r['method']},{r['seconds']:.6f}" for r in rows]

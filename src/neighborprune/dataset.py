@@ -18,7 +18,6 @@ from .objective import confidence_values
 
 MATRIX_MAGIC = b"NBPR"
 MATRIX_VERSION = 1
-MATRIX_FORMATS = ("binary", "csv")
 
 CONFIDENCE_METRICS = ("max_prob", "diff_prob", "external")
 

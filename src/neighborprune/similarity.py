@@ -6,12 +6,11 @@ and always contains the self edge (i, 1.0). Construction runs blocked
 matrix products over the upper triangle of block pairs only, so each pair's
 similarity is computed by exactly one GEMM call and then mirrored: BLAS
 results depend on blocking, and this is what makes the edge weights exactly
-symmetric and the finished graph independent of the worker-thread count.
+symmetric.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,27 +113,11 @@ def _pair_edges(
     return rows + a_lo, cols + b_lo, sims[mask]
 
 
-def _under_cap(produced, edge_cap: int, tau: float) -> list:
-    """Block-pair edges in order, raising GuardError at the first pair that
-    takes the stored-entry count over edge_cap."""
-    results, stored = [], 0
-    for rows, cols, w in produced:
-        stored += 2 * rows.size - int(np.count_nonzero(rows == cols))
-        if stored > edge_cap:
-            raise GuardError(
-                f"thresholded graph exceeds the edge cap ({edge_cap} stored "
-                f"entries) at tau={tau}; raise tau or the cap"
-            )
-        results.append((rows, cols, w))
-    return results
-
-
 def build_graph(
     embeddings: np.ndarray,
     tau: float,
     *,
     block_size: int = DEFAULT_BLOCK_SIZE,
-    threads: int = 1,
     edge_cap: int = DEFAULT_EDGE_CAP,
 ) -> NeighborGraph:
     """Build the exact all-pairs thresholded graph.
@@ -143,8 +126,6 @@ def build_graph(
         embeddings: m x d matrix; every row must have nonzero norm.
         tau: similarity threshold in (-1, 1].
         block_size: rows per block for the pairwise products.
-        threads: worker threads for block pairs; the result is identical
-            for any thread count.
         edge_cap: abort with GuardError once the stored-entry count would
             exceed this bound.
 
@@ -167,22 +148,18 @@ def build_graph(
     blocks = _block_ranges(m, max(1, block_size))
     pairs = [(a, b) for ai, a in enumerate(blocks) for b in blocks[ai:]]
 
-    # With one thread the caller does the work itself: a lone worker thread
-    # would get a second malloc arena that keeps a block pair's temporaries
-    # resident beside the caller's (about 10 MB more peak RSS at m = 20000).
-    # Both paths yield pairs in order, and _under_cap stops at the first pair
-    # that trips the guard; closing the pool's iterator cancels pending pairs.
-    if threads <= 1:
-        results = _under_cap(
-            (_pair_edges(normalized, tau, a, b) for a, b in pairs), edge_cap, tau
-        )
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            produced = pool.map(lambda ab: _pair_edges(normalized, tau, *ab), pairs)
-            try:
-                results = _under_cap(produced, edge_cap, tau)
-            finally:
-                produced.close()
+    # Block pairs run in order, one GEMM each (BLAS threads the product);
+    # the guard stops at the first pair that takes the count over the cap.
+    results, stored = [], 0
+    for a, b in pairs:
+        rows, cols, w = _pair_edges(normalized, tau, a, b)
+        stored += 2 * rows.size - int(np.count_nonzero(rows == cols))
+        if stored > edge_cap:
+            raise GuardError(
+                f"thresholded graph exceeds the edge cap ({edge_cap} stored "
+                f"entries) at tau={tau}; raise tau or the cap"
+            )
+        results.append((rows, cols, w))
 
     upper_rows = np.concatenate([r for r, _, _ in results])
     upper_cols = np.concatenate([c for _, c, _ in results])

@@ -15,6 +15,7 @@ import itertools
 import math
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -666,6 +667,9 @@ def trend_subset_noise_ratio(
 # Scaling benchmark
 # ---------------------------------------------------------------------------
 
+SCALING_METHODS = ("prune4rel", "kcenter_greedy")
+
+
 def run_scaling_benchmark(
     m_list,
     d: int = 32,
@@ -673,8 +677,7 @@ def run_scaling_benchmark(
     repeat: int = 1,
     seed: int = 20240509,
     tau: float = 0.5,
-    methods=("prune4rel", "kcenter_greedy"),
-    threads: int = 1,
+    methods=SCALING_METHODS,
 ) -> list[dict]:
     """Selection-phase seconds per (m, method); best of `repeat` runs.
 
@@ -691,20 +694,17 @@ def run_scaling_benchmark(
         s = int(np.floor(ratio * int(m) + 0.5))
         for method in methods:
             if method == "prune4rel":
-                graph = build_graph(emb, tau, threads=threads)
-                best = np.inf
-                for _ in range(max(1, repeat)):
-                    start = time.perf_counter()
-                    greedy_sequence(graph, conf, s, lazy=False)
-                    best = min(best, time.perf_counter() - start)
+                graph = build_graph(emb, tau)
+                run = partial(greedy_sequence, graph, conf, s, lazy=False)
             elif method == "kcenter_greedy":
-                best = np.inf
-                for _ in range(max(1, repeat)):
-                    start = time.perf_counter()
-                    select_kcenter_greedy(emb, s, seed=seed)
-                    best = min(best, time.perf_counter() - start)
+                run = partial(select_kcenter_greedy, emb, s, seed=seed)
             else:
                 raise ValueError(f"benchmark does not cover method {method!r}")
+            best = np.inf
+            for _ in range(max(1, repeat)):
+                start = time.perf_counter()
+                run()
+                best = min(best, time.perf_counter() - start)
             rows.append(
                 {"m": int(m), "method": method, "seconds": float(best), "s": s}
             )

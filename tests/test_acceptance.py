@@ -122,7 +122,7 @@ def test_criterion_08_subset_noise_ratio_trend():
 def test_criterion_09_scaling():
     start = time.perf_counter()
     rows = run_scaling_benchmark(
-        [10_000, 20_000, 40_000], d=32, ratio=0.5, repeat=1, threads=4
+        [10_000, 20_000, 40_000], d=32, ratio=0.5, repeat=1
     )
     elapsed = time.perf_counter() - start
     slopes = scaling_slopes(rows)

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from neighborprune import verify as verify_mod
 from neighborprune.cli import main, method_inputs_help
 from neighborprune.dataset import load_labels, load_matrix, save_labels, save_matrix, save_scores
 from neighborprune.selectors import load_selected
@@ -391,6 +392,17 @@ class TestEval:
         assert code == 3
         assert "E_FORMAT" in capsys.readouterr().err
 
+    def test_error_names_the_negative_index(self, tmp_path, capsys):
+        sel_path = tmp_path / "sel.txt"
+        sel_path.write_text("0\n-1\n")
+        labels_path = tmp_path / "labels.txt"
+        labels_path.write_text("0\n" * 30)
+        code = main(
+            ["eval", "--selected", str(sel_path), "--noisy-labels", str(labels_path)]
+        )
+        assert code == 3
+        assert "index -1 out of range for 30 labels" in capsys.readouterr().err
+
 
 class TestVerifyCommand:
     def test_reduced_suite_passes(self, capsys):
@@ -400,6 +412,18 @@ class TestVerifyCommand:
         assert code == 0
         assert out.count("PASS") == 6
         assert "FAIL" not in out
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--instances", "-1", "--probes", "-1"], ["--instances", "0"],
+         ["--probes", "0"]],
+    )
+    def test_counts_below_one_are_arg_errors(self, capsys, flags):
+        code = main(["verify", "--preset", "exhaustive", *flags])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "E_ARG" in captured.err and flags[0] in captured.err
+        assert "PASS" not in captured.out
 
 
 class TestBenchCommand:
@@ -419,6 +443,20 @@ class TestBenchCommand:
         code = main(["bench", "--m-list", "17,zebra"])
         assert code == 2
         assert "--m-list" in capsys.readouterr().err
+
+    def test_unknown_method_rejected_before_measuring(self, monkeypatch, capsys):
+        measured = []
+
+        def fake_benchmark(m_list, **kwargs):
+            measured.append(kwargs["methods"])
+            return []
+
+        monkeypatch.setattr(verify_mod, "run_scaling_benchmark", fake_benchmark)
+        code = main(["bench", "--m-list", "200", "--methods", "prune4rel,nope"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "E_ARG" in err and "'nope'" in err
+        assert measured == []
 
 
 class TestParsing:

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -91,7 +93,7 @@ class TestBuildGraph:
         monkeypatch.setattr(similarity, "_pair_edges", counted)
         emb = np.random.default_rng(2).standard_normal((400, 8))
         with pytest.raises(GuardError, match="edge cap"):
-            build_graph(emb, -0.9, block_size=100, threads=1, edge_cap=1000)
+            build_graph(emb, -0.9, block_size=100, edge_cap=1000)
         assert calls == [((0, 100), (0, 100))]
 
     def test_raising_tau_never_adds_edges(self):
@@ -113,14 +115,15 @@ class TestBuildGraph:
         np.testing.assert_array_equal(g1.indices, g2.indices)
         np.testing.assert_allclose(g1.weights, g2.weights, atol=1e-9)
 
-    def test_thread_count_does_not_change_graph(self):
-        rng = np.random.default_rng(9)
-        emb = rng.standard_normal((300, 8))
-        g1 = build_graph(emb, 0.3, block_size=64, threads=1)
-        g4 = build_graph(emb, 0.3, block_size=64, threads=4)
-        np.testing.assert_array_equal(g1.indptr, g4.indptr)
-        np.testing.assert_array_equal(g1.indices, g4.indices)
-        np.testing.assert_array_equal(g1.weights, g4.weights)
+    def test_graph_bytes_are_pinned(self):
+        # 3000 rows in blocks of 256 make 78 block pairs; the digest pins
+        # every byte of the CSR arrays, float64 weights included.
+        emb = np.random.default_rng(5).standard_normal((3000, 16))
+        graph = build_graph(emb, 0.3, block_size=256)
+        digest = hashlib.blake2b(digest_size=16)
+        for array in (graph.indptr, graph.indices, graph.weights):
+            digest.update(array.tobytes())
+        assert digest.hexdigest() == "49c419a3d95b418ebb457172691b6615"
 
     def test_blocked_build_is_symmetric_and_valid(self):
         rng = np.random.default_rng(10)
