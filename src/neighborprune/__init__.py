@@ -41,12 +41,7 @@ from .selectors import (
     select_moderate,
     select_uniform,
 )
-from .similarity import (
-    GuardError,
-    NeighborGraph,
-    build_graph,
-    cosine_similarity,
-)
+from .similarity import GuardError, NeighborGraph, build_graph
 from .verify import (
     CorrelationReport,
     SynthConfig,

@@ -479,6 +479,12 @@ def cmd_bench(args) -> int:
         raise CliError(f"--m-list must be comma-separated integers: {exc}") from exc
     if not m_list:
         raise CliError("--m-list is empty")
+    if min(m_list) < 1:
+        raise CliError(f"--m-list sizes must be at least 1, got {min(m_list)}")
+    try:  # the smallest size is the one a small ratio empties
+        resolve_budget(args.ratio, min(m_list))
+    except ValueError as exc:
+        raise CliError(f"--ratio: {exc}") from exc
     methods = tuple(tok.strip() for tok in args.methods.split(",") if tok.strip())
     unknown = [name for name in methods if name not in verify_mod.SCALING_METHODS]
     if unknown:

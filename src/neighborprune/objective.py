@@ -96,6 +96,7 @@ class SelectionState:
         if self.in_set[x]:
             raise ValueError(f"example {x} is already selected")
         idx, w = self.graph.neighbors(x)
+        idx = idx.astype(np.intp, copy=False)  # one cast, not one per index below
         contrib = w * self.conf[x]
         y = contrib - self._comp[idx]
         t = self.nbr_conf[idx] + y

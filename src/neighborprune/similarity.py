@@ -7,6 +7,11 @@ matrix products over the upper triangle of block pairs only, so each pair's
 similarity is computed by exactly one GEMM call and then mirrored: BLAS
 results depend on blocking, and this is what makes the edge weights exactly
 symmetric.
+
+Each product is thresholded flat, and only its kept weights are clipped.
+The CSR arrays are assembled one row band (block of rows) at a time, each
+band sorted on its own once its block pairs are done; indices is int32 when
+m < 2**31.
 """
 
 from __future__ import annotations
@@ -25,24 +30,14 @@ class GuardError(RuntimeError):
     """A resource guard tripped (edge-count cap, enumeration cap)."""
 
 
-def cosine_similarity(u: np.ndarray, v: np.ndarray) -> float:
-    """Cosine of the angle between two vectors, clamped to [-1, 1]."""
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
-    if nu == 0.0 or nv == 0.0:
-        raise ValueError("cosine similarity of a zero-norm vector is undefined")
-    return float(np.clip(np.dot(u, v) / (nu * nv), -1.0, 1.0))
-
-
 @dataclass(frozen=True)
 class NeighborGraph:
     """Symmetric tau-thresholded similarity graph in CSR form.
 
     indptr/indices/weights follow the usual CSR convention; within each row
     the neighbor indices are strictly ascending and always include the row
-    itself with weight exactly 1.0.
+    itself with weight exactly 1.0. indptr is int64; indices is int32 when
+    num_rows < 2**31 (int64 otherwise); weights is float64.
     """
 
     tau: float
@@ -92,25 +87,24 @@ class NeighborGraph:
                     seen[key] = wij
 
 
-def _block_ranges(m: int, block_size: int) -> list[tuple[int, int]]:
-    return [(lo, min(lo + block_size, m)) for lo in range(0, m, block_size)]
-
-
 def _pair_edges(
     normalized: np.ndarray, tau: float, a: tuple[int, int], b: tuple[int, int]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Edges (row <= col only) between block a and block b, b at or after a."""
+    """Edges (row <= col only) between block a and block b, b at or after a.
+
+    tau > -1, so only the kept weights need clipping, and only from above.
+    """
     a_lo, a_hi = a
     b_lo, b_hi = b
     sims = normalized[a_lo:a_hi] @ normalized[b_lo:b_hi].T
-    np.clip(sims, -1.0, 1.0, out=sims)
     if a_lo == b_lo:
         np.fill_diagonal(sims, 1.0)
-    mask = sims >= tau
+    flat = np.flatnonzero(sims >= tau)
+    rows, cols = np.divmod(flat, sims.shape[1])
     if a_lo == b_lo:
-        mask &= np.triu(np.ones_like(mask))
-    rows, cols = np.nonzero(mask)
-    return rows + a_lo, cols + b_lo, sims[mask]
+        upper = cols >= rows
+        flat, rows, cols = flat[upper], rows[upper], cols[upper]
+    return rows + a_lo, cols + b_lo, np.minimum(sims.ravel()[flat], 1.0)
 
 
 def build_graph(
@@ -144,44 +138,48 @@ def build_graph(
     if zero.size:
         raise ValueError(f"embedding row {int(zero[0])} has zero norm")
     normalized = emb / norms[:, None]
+    index_dtype = np.int32 if m < 2**31 else np.int64
 
-    blocks = _block_ranges(m, max(1, block_size))
-    pairs = [(a, b) for ai, a in enumerate(blocks) for b in blocks[ai:]]
-
-    # Block pairs run in order, one GEMM each (BLAS threads the product);
-    # the guard stops at the first pair that takes the count over the cap.
-    results, stored = [], 0
-    for a, b in pairs:
-        rows, cols, w = _pair_edges(normalized, tau, a, b)
-        stored += 2 * rows.size - int(np.count_nonzero(rows == cols))
-        if stored > edge_cap:
-            raise GuardError(
-                f"thresholded graph exceeds the edge cap ({edge_cap} stored "
-                f"entries) at tau={tau}; raise tau or the cap"
-            )
-        results.append((rows, cols, w))
-
-    upper_rows = np.concatenate([r for r, _, _ in results])
-    upper_cols = np.concatenate([c for _, c, _ in results])
-    upper_w = np.concatenate([w for _, _, w in results])
-
-    off = upper_rows != upper_cols
-    full_rows = np.concatenate([upper_rows, upper_cols[off]])
-    full_cols = np.concatenate([upper_cols, upper_rows[off]])
-    full_w = np.concatenate([upper_w, upper_w[off]])
-
-    order = np.lexsort((full_cols, full_rows))
-    full_rows = full_rows[order]
-    full_cols = full_cols[order]
-    full_w = full_w[order]
-
+    size = max(1, block_size)
+    blocks = [(lo, min(lo + size, m)) for lo in range(0, m, size)]
+    # pending[j] holds the mirrored (lower-triangle) entries of row band j
+    # from pairs of earlier row blocks, as (rows, cols, weights).
+    pending = [[] for _ in blocks]
     indptr = np.zeros(m + 1, dtype=np.int64)
-    np.cumsum(np.bincount(full_rows, minlength=m), out=indptr[1:])
+    indices, weights, stored = [], [], 0
+    for ai, (lo, hi) in enumerate(blocks):
+        band, pending[ai] = pending[ai], None
+        # Block pairs run in order, one GEMM each (BLAS threads the product);
+        # the guard stops at the first pair that takes the count over the cap.
+        for bj in range(ai, len(blocks)):
+            rows, cols, w = _pair_edges(normalized, tau, blocks[ai], blocks[bj])
+            rows, cols = rows.astype(index_dtype), cols.astype(index_dtype)
+            off = rows != cols
+            stored += rows.size + int(np.count_nonzero(off))
+            if stored > edge_cap:
+                raise GuardError(
+                    f"thresholded graph exceeds the edge cap ({edge_cap} stored "
+                    f"entries) at tau={tau}; raise tau or the cap"
+                )
+            band.append((rows, cols, w))
+            if bj == ai:
+                band.append((cols[off], rows[off], w[off]))
+            else:
+                pending[bj].append((cols, rows, w))
+        # Row band ai is complete; each (row, col) occurs once, so sorting by
+        # the combined key gives the CSR order.
+        rows = np.concatenate([r for r, _, _ in band])
+        cols = np.concatenate([c for _, c, _ in band])
+        order = np.argsort((rows.astype(np.int64) - lo) * m + cols)
+        indices.append(cols[order])
+        weights.append(np.concatenate([w for _, _, w in band])[order])
+        indptr[lo + 1 : hi + 1] = np.bincount(rows - lo, minlength=hi - lo)
+
+    np.cumsum(indptr, out=indptr)
     return NeighborGraph(
         tau=float(tau),
         num_rows=m,
         indptr=indptr,
-        indices=full_cols.astype(np.int64),
-        weights=full_w,
+        indices=np.concatenate(indices),
+        weights=np.concatenate(weights),
     )
-

@@ -444,6 +444,28 @@ class TestBenchCommand:
         assert code == 2
         assert "--m-list" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--m-list", "50", "--ratio", "3"], ["--m-list", "50", "--ratio", "0"],
+         ["--m-list", "200,50", "--ratio", "0.001"], ["--m-list", "0"],
+         ["--m-list", "200,-5"]],
+    )
+    def test_bad_size_or_ratio_rejected_before_measuring(
+        self, monkeypatch, capsys, flags
+    ):
+        measured = []
+
+        def fake_benchmark(m_list, **kwargs):
+            measured.append(m_list)
+            return []
+
+        monkeypatch.setattr(verify_mod, "run_scaling_benchmark", fake_benchmark)
+        code = main(["bench", *flags])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "E_ARG" in err and flags[-2] in err
+        assert measured == []
+
     def test_unknown_method_rejected_before_measuring(self, monkeypatch, capsys):
         measured = []
 

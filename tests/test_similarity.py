@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from neighborprune import similarity
-from neighborprune.similarity import GuardError, build_graph, cosine_similarity
+from neighborprune.similarity import GuardError, build_graph
 
 
 def edge_set(graph):
@@ -16,26 +16,12 @@ def edge_set(graph):
     return out
 
 
-class TestCosine:
-    def test_parallel(self):
-        assert cosine_similarity([1.0, 0.0], [1.0, 0.0]) == pytest.approx(1.0)
-
-    def test_orthogonal(self):
-        assert cosine_similarity([1.0, 0.0], [0.0, 1.0]) == pytest.approx(0.0)
-
-    def test_forty_five_degrees(self):
-        value = cosine_similarity([1.0, 1.0], [1.0, 0.0])
-        assert value == pytest.approx(1.0 / np.sqrt(2.0))
-
-    def test_zero_norm_rejected(self):
-        with pytest.raises(ValueError, match="zero-norm"):
-            cosine_similarity([0.0, 0.0], [1.0, 0.0])
-
-    def test_clamped_to_unit_interval(self):
-        rng = np.random.default_rng(0)
-        for _ in range(50):
-            u = rng.standard_normal(6)
-            assert -1.0 <= cosine_similarity(u, 2.5 * u) <= 1.0
+def graph_digest(graph):
+    """blake2b-128 over indptr, the int64 view of indices, and weights."""
+    digest = hashlib.blake2b(digest_size=16)
+    for array in (graph.indptr, graph.indices.astype(np.int64), graph.weights):
+        digest.update(array.tobytes())
+    return digest.hexdigest()
 
 
 class TestBuildGraph:
@@ -117,13 +103,11 @@ class TestBuildGraph:
 
     def test_graph_bytes_are_pinned(self):
         # 3000 rows in blocks of 256 make 78 block pairs; the digest pins
-        # every byte of the CSR arrays, float64 weights included.
+        # every value of the CSR arrays, float64 weights included, with
+        # indices hashed as int64 whatever their stored width.
         emb = np.random.default_rng(5).standard_normal((3000, 16))
         graph = build_graph(emb, 0.3, block_size=256)
-        digest = hashlib.blake2b(digest_size=16)
-        for array in (graph.indptr, graph.indices, graph.weights):
-            digest.update(array.tobytes())
-        assert digest.hexdigest() == "49c419a3d95b418ebb457172691b6615"
+        assert graph_digest(graph) == "49c419a3d95b418ebb457172691b6615"
 
     def test_blocked_build_is_symmetric_and_valid(self):
         rng = np.random.default_rng(10)
@@ -141,6 +125,52 @@ class TestBuildGraph:
                 if i == j:
                     assert wij == 1.0
                 else:
-                    assert wij == pytest.approx(
-                        cosine_similarity(emb[i], emb[j]), abs=1e-12
-                    )
+                    u, v = emb[i], emb[j]
+                    cos = u @ v / (np.linalg.norm(u) * np.linalg.norm(v))
+                    assert wij == pytest.approx(cos, abs=1e-12)
+
+
+class TestPinnedEdgeCases:
+    """Digests of small graphs at the corners of blocked edge extraction.
+
+    Each digest was recorded with an independent extraction (a 2-D mask per
+    block pair, then one global lexsort), so it pins the bytes, not just the
+    invariants.
+    """
+
+    def test_negative_tau(self):
+        # Weights below zero are kept; the product is never clipped from below.
+        emb = np.random.default_rng(3).standard_normal((300, 4))
+        graph = build_graph(emb, -0.5, block_size=64)
+        graph.validate()
+        assert graph.weights.min() < 0.0
+        assert graph_digest(graph) == "94f36f5be410da301b61169eac62df99"
+
+    def test_scaled_duplicates_round_above_one(self):
+        base = np.random.default_rng(4).standard_normal((12, 5))
+        emb = np.concatenate([base * s for s in (1.0, 3.0, 0.1, 7.3, 1e-3)])
+        unit = emb / np.linalg.norm(emb, axis=1)[:, None]
+        sims = unit @ unit.T
+        np.fill_diagonal(sims, 0.0)
+        assert np.count_nonzero(sims > 1.0)  # the input does exercise the clip
+        graph = build_graph(emb, 0.2)
+        assert graph.weights.max() <= 1.0
+        graph.validate()  # symmetric weights, self edges 1.0
+        assert graph_digest(graph) == "a0a4ec1fa754181e0e9479075ea2dcbd"
+
+    def test_rows_not_a_multiple_of_block_size(self):
+        emb = np.random.default_rng(6).standard_normal((250, 6))
+        graph = build_graph(emb, 0.3, block_size=64)
+        graph.validate()
+        assert graph_digest(graph) == "3fbb9f239d8076dd5721961cf15a670c"
+
+    def test_fewer_rows_than_one_block(self):
+        emb = np.random.default_rng(9).standard_normal((50, 6))
+        graph = build_graph(emb, 0.3)
+        graph.validate()
+        assert graph_digest(graph) == "4808c00bd0a61265eb53cd468c0a4ed7"
+
+    def test_one_row(self):
+        graph = build_graph(np.array([[3.0, 4.0]]), 0.5)
+        graph.validate()
+        assert graph_digest(graph) == "1287ab8b1c8b0f58df1630ce6d310d6e"
