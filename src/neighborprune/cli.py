@@ -12,6 +12,7 @@ across reruns and thread counts.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import sys
@@ -153,6 +154,16 @@ def _add_prune_parser(sub) -> None:
     p.add_argument("--out", required=True, help="output directory")
 
 
+@contextlib.contextmanager
+def _naming_probs(path):
+    """Name the --probs file in a probability-matrix error raised inside
+    (the only FormatError that confidence derivation and selection raise)."""
+    try:
+        yield
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
+
+
 def cmd_prune(args) -> int:
     method = args.method
     spec = METHOD_TABLE[method]
@@ -173,17 +184,25 @@ def cmd_prune(args) -> int:
         raise CliError(problem)
 
     embeddings = load_matrix(args.embeddings, args.embeddings_format)
-    probabilities = (
-        load_probabilities(args.probs, args.probs_format) if args.probs else None
-    )
     noisy_labels = load_labels(args.labels) if args.labels else None
     scores = load_scores(args.scores) if args.scores else None
+    # A --probs matrix is validated once: by the step that reads it
+    # (compute_confidence, or run_selection for margin and small-loss
+    # scores), which _naming_probs makes name the file, or else on load.
+    probs_read = (needs_graph and args.confidence_metric != "external") or (
+        "probabilities" in spec.inputs and (spec.direction is None or scores is None)
+    )
+    probabilities = None
+    if args.probs:
+        load = load_matrix if probs_read else load_probabilities
+        probabilities = load(args.probs, args.probs_format)
     confidence = None
     if needs_graph:
         if args.confidence_metric == "external":
             confidence = load_external_confidence(args.confidence_file)
         else:
-            confidence = compute_confidence(probabilities, args.confidence_metric)
+            with _naming_probs(args.probs):
+                confidence = compute_confidence(probabilities, args.confidence_metric)
 
     budget = args.size if args.size is not None else args.ratio
     try:
@@ -207,16 +226,17 @@ def cmd_prune(args) -> int:
         graph = build_graph(embeddings, tau, edge_cap=args.max_edges)
         graph_build_s = time.perf_counter() - start
 
-    report = run_selection(
-        config,
-        embeddings=embeddings,
-        noisy_labels=noisy_labels,
-        probabilities=probabilities,
-        confidence=confidence,
-        scores=scores,
-        graph=graph,
-        graph_build_s=graph_build_s,
-    )
+    with _naming_probs(args.probs):
+        report = run_selection(
+            config,
+            embeddings=embeddings,
+            noisy_labels=noisy_labels,
+            probabilities=probabilities,
+            confidence=confidence,
+            scores=scores,
+            graph=graph,
+            graph_build_s=graph_build_s,
+        )
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

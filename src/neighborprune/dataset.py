@@ -29,7 +29,7 @@ PROB_ROW_SUM_TOL = 1e-5
 
 
 class FormatError(ValueError):
-    """An input file violates its declared format."""
+    """An input file, or a probability matrix, violates its declared format."""
 
 
 def _require_finite(values: np.ndarray, what: str) -> None:
@@ -204,15 +204,16 @@ def load_external_confidence(path: str | Path) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _validate_probabilities(probs: np.ndarray, where: str = "probabilities") -> None:
+    """The one check on a probability matrix, raising FormatError."""
     if probs.ndim != 2:
-        raise ValueError(f"{where}: expected 2-d matrix, got shape {probs.shape}")
+        raise FormatError(f"{where}: expected 2-d matrix, got shape {probs.shape}")
     _require_finite(probs, where)
     if probs.min() < 0.0 or probs.max() > 1.0:
-        raise ValueError(f"{where}: entries must lie in [0, 1]")
+        raise FormatError(f"{where}: entries must lie in [0, 1]")
     sums = probs.sum(axis=1)
     bad = np.flatnonzero(np.abs(sums - 1.0) > PROB_ROW_SUM_TOL)
     if bad.size:
-        raise ValueError(
+        raise FormatError(
             f"{where}: row {int(bad[0])} sums to {sums[bad[0]]:.8f}, expected 1"
         )
 

@@ -9,7 +9,10 @@ Lazy evaluation keeps candidates in a max-priority heap with stale-gain
 re-evaluation; because gains only shrink as the selection grows, the lazy
 run provably reproduces the eager selection sequence, ties broken by lowest
 index in both. The remaining selectors are the standard score-, margin-,
-distance-, and coverage-based baselines.
+distance-, and coverage-based baselines. k-center keeps exact squared
+distances and uses one matrix-vector product per step only to find the
+rows whose distance can drop, so its selections and lowest-index ties are
+those of recomputing every distance, at any BLAS thread count.
 """
 
 from __future__ import annotations
@@ -338,9 +341,22 @@ def select_kcenter_greedy(
     embeddings: np.ndarray, s: int, seed: int, first_center: int | None = None
 ) -> list[int]:
     """Farthest-point traversal: repeatedly add the example farthest from the
-    current centers (Euclidean), starting from a seeded random center."""
+    current centers (Euclidean), starting from a seeded random center.
+
+    Each example keeps its squared distance to the nearest center, always
+    as the exact expression sum((x - c) ** 2), so the argmax and its
+    lowest-index ties do not depend on how a step finds the rows to update.
+    A step computes the cheap expansion ||x||^2 - 2 x.c + ||c||^2 with one
+    matrix-vector product, lowers it by a bound on the rounding error of
+    both expressions, and recomputes the exact distance only on the rows
+    where that lower bound does not exceed the kept value. Every other row
+    has an exact distance strictly above its kept value, so taking the
+    minimum would have left it unchanged. The expansion itself is never
+    stored: rounded, it gives a duplicate of a center about +-eps instead
+    of an exact 0 and flips ties.
+    """
     emb = np.asarray(embeddings, dtype=np.float64)
-    m = emb.shape[0]
+    m, d = emb.shape
     if s > m:
         raise ValueError(f"budget {s} exceeds m={m}")
     if first_center is None:
@@ -349,10 +365,37 @@ def select_kcenter_greedy(
     # Squared distances: same argmax and same ties as true distances.
     min_sq = np.sum((emb - emb[first_center]) ** 2, axis=1)
     min_sq[first_center] = -np.inf
+    # Rounding bound, with N = ||x||^2 + ||c||^2 and first-order terms only.
+    # The exact expression is within (d + 2)eps/2 * |x - c|^2 <= (d + 2)eps * N
+    # of the true squared distance. In the expansion, the two norms and the
+    # dot product (any summation order, FMA or not) are each within d*eps/2
+    # times the sum of their |terms|, and those sums add up to at most 2N;
+    # its two additions round results of size at most 2N: (d + 2)eps * N in
+    # all.
+    # slack = 4(d + 4)eps covers the sum, 2(d + 2)eps, twice over; the spare
+    # half absorbs the rounding of the filter's own few operations.
+    slack = 4.0 * (d + 4) * np.finfo(np.float64).eps
+    shrunk_nrm = (1.0 - slack) * np.einsum("ij,ij->i", emb, emb)
+    # A norm this large (or NaN) could overflow the expansion: -inf makes
+    # every bound involving that row, or that row as the center, -inf or
+    # NaN, so those distances are always recomputed. Below it, Cauchy-Schwarz
+    # keeps every partial sum of the expansion under half the largest float.
+    shrunk_nrm[~(shrunk_nrm < np.finfo(np.float64).max / 8)] = -np.inf
+    lower = np.empty(m, dtype=np.float64)
     for _ in range(s - 1):
         nxt = int(np.argmax(min_sq))
         selected.append(nxt)
-        np.minimum(min_sq, np.sum((emb - emb[nxt]) ** 2, axis=1), out=min_sq)
+        center = emb[nxt]
+        with np.errstate(over="ignore", invalid="ignore"):
+            # lower = (1 - slack)(||x||^2 + ||c||^2) - 2 x.c; scaling c by -2
+            # is exact.
+            np.matmul(emb, -2.0 * center, out=lower)
+            lower += shrunk_nrm
+            lower += shrunk_nrm[nxt]
+            # NaN fails every comparison, so a NaN bound is recomputed too.
+            rows = np.flatnonzero(~(lower > min_sq))
+        exact = np.sum((emb[rows] - center) ** 2, axis=1)
+        min_sq[rows] = np.minimum(min_sq[rows], exact)
         min_sq[nxt] = -np.inf
     return selected
 

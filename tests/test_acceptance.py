@@ -6,7 +6,11 @@ is the FAIL line. The heavyweight scaling check (criterion 9) runs within
 its stated ten-minute budget.
 """
 
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -150,6 +154,20 @@ METHOD_MATRIX = [
 ]
 
 
+def _prune_args(data, method, extra, out):
+    return [
+        "prune",
+        "--embeddings", str(data / "embeddings.bin"),
+        "--probs", str(data / "probabilities.bin"),
+        "--labels", str(data / "noisy_labels.txt"),
+        "--method", method,
+        "--ratio", "0.3",
+        "--seed", "13",
+        "--out", str(out),
+        *extra,
+    ]
+
+
 def test_criterion_10_byte_determinism(tmp_path):
     data = tmp_path / "data"
     assert main(
@@ -158,33 +176,42 @@ def test_criterion_10_byte_determinism(tmp_path):
     ) == 0
     scores_path = tmp_path / "scores.txt"
     save_scores(scores_path, np.random.default_rng(99).uniform(0, 1, 200))
-
+    matrix = []
     for method, extra in METHOD_MATRIX:
         if extra and extra[-1] == "--scores":
             extra = extra + [str(scores_path)]
-        blobs = []
-        runs = [("a", "1"), ("b", "1"), ("c", "1"), ("d", "4")]
-        for tag, threads in runs:
+        matrix.append((method, extra))
+
+    # Three reruns in this process...
+    for tag in ("a", "b", "c"):
+        for method, extra in matrix:
             out = tmp_path / f"{method}_{tag}"
-            code = main(
-                [
-                    "prune",
-                    "--embeddings", str(data / "embeddings.bin"),
-                    "--probs", str(data / "probabilities.bin"),
-                    "--labels", str(data / "noisy_labels.txt"),
-                    "--method", method,
-                    "--ratio", "0.3",
-                    "--seed", "13",
-                    "--threads", threads,
-                    "--out", str(out),
-                    *extra,
-                ]
-            )
-            assert code == 0, method
-            blobs.append((out / "selected.txt").read_bytes())
+            assert main(_prune_args(data, method, extra, out)) == 0, method
+    # ...and one run per BLAS thread count, each in a fresh interpreter,
+    # because OpenBLAS reads its thread count only when numpy is imported.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    for threads in ("1", "2"):
+        argvs = [
+            _prune_args(data, method, extra, tmp_path / f"{method}_blas{threads}")
+            for method, extra in matrix
+        ]
+        script = (
+            "from neighborprune.cli import main\n"
+            f"for argv in {argvs!r}:\n"
+            "    assert main(argv) == 0, argv\n"
+        )
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        subprocess.run([sys.executable, "-c", script], env=env, check=True)
+
+    for method, _ in matrix:
+        blobs = [
+            (tmp_path / f"{method}_{tag}" / "selected.txt").read_bytes()
+            for tag in ("a", "b", "c", "blas1", "blas2")
+        ]
         assert all(blob == blobs[0] for blob in blobs), method
         assert load_selected(tmp_path / f"{method}_a" / "selected.txt").size == 60
     print(
         "PASS criterion 10 (determinism): byte-identical selected.txt across "
-        f"3 runs and thread counts 1/4 for all {len(METHOD_MATRIX)} methods"
+        f"3 runs and OPENBLAS_NUM_THREADS 1/2 for all {len(METHOD_MATRIX)} methods"
     )

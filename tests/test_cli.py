@@ -134,7 +134,8 @@ class TestPrune:
         assert report["config"]["tau"] == 0.95
 
     def test_margin_rejects_unnormalized_probs(self, synth_dir, tmp_path, capsys):
-        # --probs is validated on load, also for methods that never read it.
+        # --probs is validated by the step that reads it, or on load for
+        # methods that never read it; either way the error names the file.
         probs = tmp_path / "probs.bin"
         for method, value in (("margin", 0.25), ("uniform", 1.0)):
             save_matrix(probs, np.full((200, 2), value))
@@ -147,6 +148,37 @@ class TestPrune:
             err = capsys.readouterr().err
             assert err.startswith("E_FORMAT:")
             assert str(probs) in err
+
+    @pytest.mark.parametrize("extra", [
+        ["--method", "prune4rel", "--tau", "0.9"],
+        ["--method", "prune4rel", "--tau", "0.9", "--confidence-metric", "external"],
+        ["--method", "margin"],
+        ["--method", "small_loss"],
+        ["--method", "small_loss", "--scores"],
+        ["--method", "uniform"],
+    ])
+    def test_probs_validated_once(self, synth_dir, tmp_path, monkeypatch, extra):
+        import neighborprune.dataset as dataset_mod
+        import neighborprune.selectors as selectors_mod
+
+        calls = []
+        check = dataset_mod._validate_probabilities
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return check(*args, **kwargs)
+
+        monkeypatch.setattr(dataset_mod, "_validate_probabilities", counted)
+        monkeypatch.setattr(selectors_mod, "_validate_probabilities", counted)
+        values = tmp_path / "values.txt"
+        save_scores(values, np.linspace(0.0, 1.0, 200))
+        if extra[-1] == "--scores":
+            extra = extra + [str(values)]
+        if "external" in extra:
+            extra = extra + ["--confidence-file", str(values)]
+        code = run_prune(synth_dir, tmp_path / "run", "--ratio", "0.2", *extra)
+        assert code == 0
+        assert calls == [(200, 5)]
 
     def test_bad_magic_is_format_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.bin"

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -267,6 +271,82 @@ class TestKCenter:
         a = select_kcenter_greedy(emb, 10, seed=5)
         b = select_kcenter_greedy(emb, 10, seed=5)
         assert a == b
+
+
+def full_scan_kcenter(emb, s, first):
+    """k-center with the exact squared distance to every row at every step."""
+    emb = np.asarray(emb, dtype=np.float64)
+    selected = [first]
+    min_sq = np.sum((emb - emb[first]) ** 2, axis=1)
+    min_sq[first] = -np.inf
+    for _ in range(s - 1):
+        nxt = int(np.argmax(min_sq))
+        selected.append(nxt)
+        np.minimum(min_sq, np.sum((emb - emb[nxt]) ** 2, axis=1), out=min_sq)
+        min_sq[nxt] = -np.inf
+    return selected
+
+
+def kcenter_tie_inputs():
+    rng = np.random.default_rng(44)
+    rows = rng.standard_normal((60, 32)).astype(np.float32).astype(np.float64)
+    yield "duplicate rows", rows[rng.integers(0, 60, 240)], 200
+    scaled = rng.standard_normal((30, 8))
+    yield "scaled duplicates", np.vstack([scaled, scaled, 3.0 * scaled, scaled / 7.0]), 120
+    grid = np.stack(np.meshgrid(range(6), range(6), range(4)), axis=-1).reshape(-1, 3)
+    yield "integer grid", grid.astype(np.float64), 144
+    # Multiples of 0.1 and 0.3 are inexact in binary, so distances that tie
+    # in exact arithmetic differ by a few ulps: a filter without slack
+    # misses updates here.
+    yield "decimal grid", rng.integers(0, 5, (80, 3)) * 0.1, 80
+    yield "offset decimal grid", rng.integers(0, 4, (80, 6)) * 0.3 + 0.1, 80
+    yield "large magnitude", rng.standard_normal((100, 16)) * 1e150, 100
+    # Squared norms overflow on a third of the rows.
+    huge = rng.standard_normal((90, 16))
+    huge[::3] *= 1e160
+    yield "overflowing norms", huge, 90
+    yield "s = m", rng.standard_normal((150, 4)), 150
+
+
+KCENTER_TIE_INPUTS = {name: (emb, s) for name, emb, s in kcenter_tie_inputs()}
+
+
+class TestKCenterTies:
+    @pytest.mark.parametrize("name", list(KCENTER_TIE_INPUTS))
+    def test_same_sequence_as_the_full_scan(self, name):
+        emb, s = KCENTER_TIE_INPUTS[name]
+        for first in (0, 1, emb.shape[0] - 1):
+            with np.errstate(over="ignore"):  # squares of the overflowing rows
+                expected = full_scan_kcenter(emb, s, first)
+                got = select_kcenter_greedy(emb, s, seed=0, first_center=first)
+            assert got == expected
+
+    def test_same_sequence_across_blas_thread_counts(self):
+        # m=20 000, d=32: OpenBLAS splits this matrix-vector product over
+        # two threads. Only the filter reads the product, so the sequence
+        # must not depend on the thread count.
+        script = (
+            "import numpy as np\n"
+            "from neighborprune.selectors import select_kcenter_greedy\n"
+            "rng = np.random.default_rng(45)\n"
+            "rows = rng.standard_normal((4000, 32)).astype(np.float32)\n"
+            "emb = rows[rng.integers(0, 4000, 20000)].astype(np.float64)\n"
+            "print(select_kcenter_greedy(emb, 2000, seed=3))\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(
+                [src, *filter(None, [env.get("PYTHONPATH")])]
+            )
+            proc = subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True,
+                text=True, check=True,
+            )
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]
+        assert len(json.loads(outputs[0])) == 2000
 
 
 class TestModerate:
