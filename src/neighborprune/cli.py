@@ -12,7 +12,6 @@ across reruns and thread counts.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import hashlib
 import json
 import sys
@@ -72,6 +71,25 @@ class RunManifest:
 
     def write(self, path: Path) -> None:
         path.write_text(json.dumps(asdict(self), indent=2) + "\n", encoding="utf-8")
+
+
+def _checked(convert, ok, rule: str):
+    """argparse type: convert the flag's text and refuse a value unless
+    ok(value); argparse names the flag, and main exits with E_ARG."""
+    def parse(text):
+        value = convert(text)
+        if not ok(value):  # NaN fails every comparison, so it is refused
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text}")
+        return value
+    parse.__name__ = convert.__name__  # argparse: "invalid int value: 'x'"
+    return parse
+
+
+def _at_least(k: int):
+    return _checked(int, lambda value: value >= k, f"an integer of at least {k}")
+
+
+_tau = _checked(float, lambda value: -1.0 < value <= 1.0, "in (-1, 1]")
 
 
 def _input_digests(paths: dict[str, str | None]) -> dict[str, str]:
@@ -136,7 +154,7 @@ def _add_prune_parser(sub) -> None:
     p.add_argument(
         "--confidence-metric", choices=CONFIDENCE_METRICS, default="max_prob"
     )
-    p.add_argument("--tau", type=float, help="neighborhood threshold")
+    p.add_argument("--tau", type=_tau, help="neighborhood threshold")
     p.add_argument(
         "--preset",
         choices=tuple(TAU_PRESETS),
@@ -145,23 +163,13 @@ def _add_prune_parser(sub) -> None:
     p.add_argument("--utility", choices=UTILITY_KINDS, default="tanh")
     p.add_argument("--gain-mode", choices=("paper", "exact"), default="paper")
     p.add_argument("--eager", action="store_true", help="disable lazy evaluation")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_at_least(0), default=0)
     p.add_argument(
         "--threads", type=int, default=1,
         help="no effect; OPENBLAS_NUM_THREADS caps the graph build's BLAS threads",
     )
-    p.add_argument("--max-edges", type=int, default=DEFAULT_EDGE_CAP)
+    p.add_argument("--max-edges", type=_at_least(1), default=DEFAULT_EDGE_CAP)
     p.add_argument("--out", required=True, help="output directory")
-
-
-@contextlib.contextmanager
-def _naming_probs(path):
-    """Name the --probs file in a probability-matrix error raised inside
-    (the only FormatError that confidence derivation and selection raise)."""
-    try:
-        yield
-    except FormatError as exc:
-        raise FormatError(f"{path}: {exc}") from exc
 
 
 def cmd_prune(args) -> int:
@@ -182,27 +190,21 @@ def cmd_prune(args) -> int:
     problem = requirement_error(method, supplied, spell=flags.get)
     if problem:
         raise CliError(problem)
+    if needs_graph and tau < 0:  # SelectionState refuses it only after the m^2 build
+        raise CliError(f"--tau must be at least 0 for {method}, got {tau}")
 
     embeddings = load_matrix(args.embeddings, args.embeddings_format)
     noisy_labels = load_labels(args.labels) if args.labels else None
     scores = load_scores(args.scores) if args.scores else None
-    # A --probs matrix is validated once: by the step that reads it
-    # (compute_confidence, or run_selection for margin and small-loss
-    # scores), which _naming_probs makes name the file, or else on load.
-    probs_read = (needs_graph and args.confidence_metric != "external") or (
-        "probabilities" in spec.inputs and (spec.direction is None or scores is None)
-    )
     probabilities = None
     if args.probs:
-        load = load_matrix if probs_read else load_probabilities
-        probabilities = load(args.probs, args.probs_format)
+        probabilities = load_probabilities(args.probs, args.probs_format)
     confidence = None
     if needs_graph:
         if args.confidence_metric == "external":
             confidence = load_external_confidence(args.confidence_file)
         else:
-            with _naming_probs(args.probs):
-                confidence = compute_confidence(probabilities, args.confidence_metric)
+            confidence = compute_confidence(probabilities, args.confidence_metric)
 
     budget = args.size if args.size is not None else args.ratio
     try:
@@ -226,17 +228,16 @@ def cmd_prune(args) -> int:
         graph = build_graph(embeddings, tau, edge_cap=args.max_edges)
         graph_build_s = time.perf_counter() - start
 
-    with _naming_probs(args.probs):
-        report = run_selection(
-            config,
-            embeddings=embeddings,
-            noisy_labels=noisy_labels,
-            probabilities=probabilities,
-            confidence=confidence,
-            scores=scores,
-            graph=graph,
-            graph_build_s=graph_build_s,
-        )
+    report = run_selection(
+        config,
+        embeddings=embeddings,
+        noisy_labels=noisy_labels,
+        probabilities=probabilities,
+        confidence=confidence,
+        scores=scores,
+        graph=graph,
+        graph_build_s=graph_build_s,
+    )
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -282,6 +283,8 @@ def _add_eval_parser(sub) -> None:
 
 def cmd_eval(args) -> int:
     selected = load_selected(args.selected)
+    if not selected.size:
+        raise FormatError(f"{args.selected}: no selected indices")
     noisy = load_labels(args.noisy_labels)
     outside = selected[(selected < 0) | (selected >= noisy.size)]
     if outside.size:
@@ -347,7 +350,7 @@ def _add_synth_parser(sub) -> None:
     p.add_argument("--clean-conf-std", type=float, default=0.05)
     p.add_argument("--noisy-conf-mean", type=float, default=0.35)
     p.add_argument("--noisy-conf-std", type=float, default=0.1)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_at_least(0), default=0)
     p.add_argument("--out", required=True, help="output directory")
 
 
@@ -413,16 +416,13 @@ def _add_verify_parser(sub) -> None:
     p.add_argument(
         "--preset", choices=("exhaustive", "trend", "all"), default="exhaustive"
     )
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--instances", type=int, help="override instance counts")
-    p.add_argument("--probes", type=int, help="override probe counts")
+    p.add_argument("--seed", type=_at_least(0), default=0)
+    p.add_argument("--instances", type=_at_least(1), help="override instance counts")
+    p.add_argument("--probes", type=_at_least(1), help="override probe counts")
     p.add_argument("--out", help="write a JSON summary to this file")
 
 
 def cmd_verify(args) -> int:
-    for flag, count in (("--instances", args.instances), ("--probes", args.probes)):
-        if count is not None and count < 1:
-            raise CliError(f"{flag} must be at least 1, got {count}")
     base = args.seed
     results = []
     if args.preset in ("exhaustive", "all"):
@@ -481,14 +481,14 @@ def cmd_verify(args) -> int:
 def _add_bench_parser(sub) -> None:
     p = sub.add_parser("bench", help="scaling measurements, CSV output")
     p.add_argument("--m-list", required=True, help="comma-separated sizes")
-    p.add_argument("--d", type=int, default=32)
+    p.add_argument("--d", type=_at_least(1), default=32)
     p.add_argument("--ratio", type=float, default=0.5)
-    p.add_argument("--repeat", type=int, default=1)
-    p.add_argument("--tau", type=float, default=0.5)
+    p.add_argument("--repeat", type=_at_least(1), default=1)
+    p.add_argument("--tau", type=_tau, default=0.5)
     p.add_argument(
         "--methods", default="prune4rel,kcenter_greedy", help="comma-separated"
     )
-    p.add_argument("--seed", type=int, default=20240509)
+    p.add_argument("--seed", type=_at_least(0), default=20240509)
     p.add_argument("--out", help="CSV file (default stdout)")
 
 
@@ -509,6 +509,8 @@ def cmd_bench(args) -> int:
     unknown = [name for name in methods if name not in verify_mod.SCALING_METHODS]
     if unknown:
         raise CliError(f"--methods: benchmark does not cover {unknown[0]!r}")
+    if "prune4rel" in methods and args.tau < 0:
+        raise CliError(f"--tau must be at least 0 for prune4rel, got {args.tau}")
     rows = verify_mod.run_scaling_benchmark(
         m_list,
         d=args.d,

@@ -90,11 +90,7 @@ class SelectionState:
 
     def add(self, x: int) -> None:
         """Select x and fold weight(x, v) * C(x) into every neighbor v."""
-        x = int(x)
-        if not 0 <= x < self.num_examples:
-            raise IndexError(f"index {x} out of range")
-        if self.in_set[x]:
-            raise ValueError(f"example {x} is already selected")
+        x = _require_unselected(self, x)
         idx, w = self.graph.neighbors(x)
         idx = idx.astype(np.intp, copy=False)  # one cast, not one per index below
         contrib = w * self.conf[x]

@@ -13,6 +13,10 @@ distance-, and coverage-based baselines. k-center keeps exact squared
 distances and uses one matrix-vector product per step only to find the
 rows whose distance can drop, so its selections and lowest-index ties are
 those of recomputing every distance, at any BLAS thread count.
+
+Every selector reads its budget with resolve_budget, as run_selection does:
+an int is the subset size s, a float is a ratio of the m examples, and
+1 <= s <= m or the selector raises ValueError before it selects anything.
 """
 
 from __future__ import annotations
@@ -64,7 +68,6 @@ METHOD_TABLE = {
     "ssp": MethodSpec(("scores",), "descending"),
 }
 METHODS = tuple(METHOD_TABLE)
-GREEDY_METHODS = ("prune4rel", "prune4rel_balanced")
 GAIN_MODES = ("paper_faithful", "exact_marginal")
 
 # Neighborhood-threshold presets as shipped configuration.
@@ -271,7 +274,7 @@ def _pools(m: int, labels=None, num_classes: int | None = None) -> list[np.ndarr
 def greedy_sequence(
     graph: NeighborGraph,
     confidence,
-    s: int,
+    s: int | float,
     *,
     utility: Utility | None = None,
     gain_mode: str = "paper_faithful",
@@ -285,6 +288,7 @@ def greedy_sequence(
     """
     if gain_mode not in GAIN_MODES:
         raise ValueError(f"unknown gain mode {gain_mode!r}")
+    s = resolve_budget(s, graph.num_rows)
     pools = _pools(graph.num_rows, class_labels, num_classes)
     state = _greedy_core(graph, confidence, s, utility or Utility(), gain_mode, lazy, pools)
     return state.selected
@@ -303,21 +307,19 @@ def _check_graph_matches(graph: NeighborGraph, config: SelectorConfig, m: int) -
 # Baselines
 # ---------------------------------------------------------------------------
 
-def select_uniform(m: int, s: int, seed: int) -> list[int]:
+def select_uniform(m: int, s: int | float, seed: int) -> list[int]:
     """s distinct indices drawn without replacement from a seeded generator."""
-    if s > m:
-        raise ValueError(f"budget {s} exceeds m={m}")
+    s = resolve_budget(s, m)
     rng = np.random.default_rng(seed)
     return rng.choice(m, size=s, replace=False).tolist()
 
 
-def select_by_score(scores, s: int, direction: str) -> list[int]:
+def select_by_score(scores, s: int | float, direction: str) -> list[int]:
     """First s indices after a stable sort by score; lowest index wins ties."""
     values = np.asarray(scores, dtype=np.float64)
     if values.ndim != 1 or not np.isfinite(values).all():
         raise ValueError("scores must be a 1-d vector of finite values")
-    if s > values.size:
-        raise ValueError(f"budget {s} exceeds m={values.size}")
+    s = resolve_budget(s, values.size)
     if direction == "ascending":
         order = np.argsort(values, kind="stable")
     elif direction == "descending":
@@ -327,7 +329,7 @@ def select_by_score(scores, s: int, direction: str) -> list[int]:
     return order[:s].tolist()
 
 
-def select_margin(probabilities: np.ndarray, s: int) -> list[int]:
+def select_margin(probabilities: np.ndarray, s: int | float) -> list[int]:
     """Smallest gap between the top two class probabilities first."""
     probs = np.asarray(probabilities, dtype=np.float64)
     _validate_probabilities(probs)
@@ -338,7 +340,7 @@ def select_margin(probabilities: np.ndarray, s: int) -> list[int]:
 
 
 def select_kcenter_greedy(
-    embeddings: np.ndarray, s: int, seed: int, first_center: int | None = None
+    embeddings: np.ndarray, s: int | float, seed: int, first_center: int | None = None
 ) -> list[int]:
     """Farthest-point traversal: repeatedly add the example farthest from the
     current centers (Euclidean), starting from a seeded random center.
@@ -357,8 +359,7 @@ def select_kcenter_greedy(
     """
     emb = np.asarray(embeddings, dtype=np.float64)
     m, d = emb.shape
-    if s > m:
-        raise ValueError(f"budget {s} exceeds m={m}")
+    s = resolve_budget(s, m)
     if first_center is None:
         first_center = int(np.random.default_rng(seed).integers(m))
     selected = [int(first_center)]
@@ -400,15 +401,14 @@ def select_kcenter_greedy(
     return selected
 
 
-def select_moderate(embeddings: np.ndarray, noisy_labels: np.ndarray, s: int,
+def select_moderate(embeddings: np.ndarray, noisy_labels: np.ndarray, s: int | float,
                     num_classes: int | None = None) -> list[int]:
     """Examples whose distance to their class centroid is closest to the
     class's median distance come first."""
     emb = np.asarray(embeddings, dtype=np.float64)
     labels = np.asarray(noisy_labels, dtype=np.int64)
     m = emb.shape[0]
-    if s > m:
-        raise ValueError(f"budget {s} exceeds m={m}")
+    s = resolve_budget(s, m)
     c = int(num_classes) if num_classes else int(labels.max()) + 1
     deviation = np.empty(m, dtype=np.float64)
     for j in range(c):
@@ -492,7 +492,7 @@ def run_selection(
     spec = METHOD_TABLE[method]
     state = None
     start = time.perf_counter()
-    if method in GREEDY_METHODS:
+    if "graph" in spec.inputs:
         _check_graph_matches(graph, config, m)
         balanced = method == "prune4rel_balanced"
         pools = _pools(m, noisy_labels if balanced else None, num_classes)

@@ -24,6 +24,7 @@ from .objective import SelectionState, Utility, confidence_values, marginal_gain
 from .selectors import (
     SelectorConfig,
     greedy_sequence,
+    resolve_budget,
     run_selection,
     select_by_score,
     select_kcenter_greedy,
@@ -691,7 +692,7 @@ def run_scaling_benchmark(
         rng = np.random.default_rng(seed + int(m))
         emb = rng.standard_normal((int(m), d))
         conf = rng.uniform(0.0, 1.0, size=int(m))
-        s = int(np.floor(ratio * int(m) + 0.5))
+        s = resolve_budget(float(ratio), int(m))
         for method in methods:
             if method == "prune4rel":
                 graph = build_graph(emb, tau)

@@ -134,51 +134,33 @@ class TestPrune:
         assert report["config"]["tau"] == 0.95
 
     def test_margin_rejects_unnormalized_probs(self, synth_dir, tmp_path, capsys):
-        # --probs is validated by the step that reads it, or on load for
-        # methods that never read it; either way the error names the file.
+        # --probs is checked on load whatever the method, so the error names
+        # the file even for the flag sets that never read the matrix.
         probs = tmp_path / "probs.bin"
-        for method, value in (("margin", 0.25), ("uniform", 1.0)):
-            save_matrix(probs, np.full((200, 2), value))
-            code = main(
-                ["prune", "--embeddings", str(synth_dir / "embeddings.bin"),
-                 "--probs", str(probs), "--method", method, "--ratio", "0.2",
-                 "--out", str(tmp_path / "run")]
-            )
-            assert code == 3
-            err = capsys.readouterr().err
-            assert err.startswith("E_FORMAT:")
-            assert str(probs) in err
-
-    @pytest.mark.parametrize("extra", [
-        ["--method", "prune4rel", "--tau", "0.9"],
-        ["--method", "prune4rel", "--tau", "0.9", "--confidence-metric", "external"],
-        ["--method", "margin"],
-        ["--method", "small_loss"],
-        ["--method", "small_loss", "--scores"],
-        ["--method", "uniform"],
-    ])
-    def test_probs_validated_once(self, synth_dir, tmp_path, monkeypatch, extra):
-        import neighborprune.dataset as dataset_mod
-        import neighborprune.selectors as selectors_mod
-
-        calls = []
-        check = dataset_mod._validate_probabilities
-
-        def counted(*args, **kwargs):
-            calls.append(args[0].shape)
-            return check(*args, **kwargs)
-
-        monkeypatch.setattr(dataset_mod, "_validate_probabilities", counted)
-        monkeypatch.setattr(selectors_mod, "_validate_probabilities", counted)
         values = tmp_path / "values.txt"
         save_scores(values, np.linspace(0.0, 1.0, 200))
-        if extra[-1] == "--scores":
-            extra = extra + [str(values)]
-        if "external" in extra:
-            extra = extra + ["--confidence-file", str(values)]
-        code = run_prune(synth_dir, tmp_path / "run", "--ratio", "0.2", *extra)
-        assert code == 0
-        assert calls == [(200, 5)]
+        flag_sets = (
+            ["--method", "prune4rel", "--tau", "0.9"],
+            ["--method", "prune4rel", "--tau", "0.9", "--confidence-metric",
+             "external", "--confidence-file", str(values)],
+            ["--method", "margin"],
+            ["--method", "small_loss"],
+            ["--method", "small_loss", "--scores", str(values)],
+            ["--method", "uniform"],
+        )
+        for flags in flag_sets:
+            for value in (0.25, 1.0):  # rows summing to 0.5, then to 2
+                save_matrix(probs, np.full((200, 2), value))
+                code = main(
+                    ["prune", "--embeddings", str(synth_dir / "embeddings.bin"),
+                     "--probs", str(probs),
+                     "--labels", str(synth_dir / "noisy_labels.txt"),
+                     "--ratio", "0.2", "--out", str(tmp_path / "run"), *flags]
+                )
+                assert code == 3, flags
+                err = capsys.readouterr().err
+                assert err.startswith("E_FORMAT:")
+                assert str(probs) in err
 
     def test_bad_magic_is_format_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.bin"
@@ -424,6 +406,19 @@ class TestEval:
         assert code == 3
         assert "E_FORMAT" in capsys.readouterr().err
 
+    def test_empty_selection_is_format_error(self, synth_dir, tmp_path, capsys):
+        sel_path = tmp_path / "sel.txt"
+        sel_path.write_text("\n")
+        code = main(
+            ["eval", "--selected", str(sel_path),
+             "--noisy-labels", str(synth_dir / "noisy_labels.txt"),
+             "--true-labels", str(synth_dir / "true_labels.txt")]
+        )
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.err.startswith("E_FORMAT:") and str(sel_path) in captured.err
+        assert captured.out == ""
+
     def test_error_names_the_negative_index(self, tmp_path, capsys):
         sel_path = tmp_path / "sel.txt"
         sel_path.write_text("0\n-1\n")
@@ -513,7 +508,55 @@ class TestBenchCommand:
         assert measured == []
 
 
+# Flag values outside their range, each with the flag the error must name.
+BAD_FLAG_VALUES = [
+    (["prune", "--method", "uniform", "--tau", "1.5"], "--tau"),
+    (["prune", "--method", "prune4rel", "--tau", "nan"], "--tau"),
+    (["prune", "--method", "prune4rel", "--tau", "-0.5"], "--tau"),
+    (["prune", "--method", "prune4rel_balanced", "--tau", "-0.5"], "--tau"),
+    (["prune", "--method", "uniform", "--seed", "-1"], "--seed"),
+    (["prune", "--method", "kcenter_greedy", "--seed", "-1"], "--seed"),
+    (["prune", "--method", "prune4rel", "--tau", "0.5", "--max-edges", "0"],
+     "--max-edges"),
+    (["bench", "--d", "0"], "--d"),
+    (["bench", "--repeat", "0"], "--repeat"),
+    (["bench", "--tau", "2"], "--tau"),
+    (["bench", "--tau", "-0.5"], "--tau"),
+    (["bench", "--seed", "-1"], "--seed"),
+    (["verify", "--seed", "-1"], "--seed"),
+    (["synth", "--seed", "-1"], "--seed"),
+]
+
+
 class TestParsing:
+    @pytest.mark.parametrize(
+        "argv, flag", BAD_FLAG_VALUES, ids=[" ".join(a) for a, _ in BAD_FLAG_VALUES]
+    )
+    def test_bad_flag_value_is_arg_error_before_any_work(
+        self, tmp_path, monkeypatch, capsys, argv, flag
+    ):
+        import neighborprune.cli as cli_mod
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the command started work")
+
+        monkeypatch.setattr(cli_mod, "build_graph", refuse)
+        monkeypatch.setattr(verify_mod, "build_graph", refuse)
+        monkeypatch.setattr(verify_mod, "run_scaling_benchmark", refuse)
+        absent = str(tmp_path / "absent")  # reading it would be E_FORMAT
+        rest = {
+            "prune": ["--embeddings", absent, "--probs", absent, "--labels", absent,
+                      "--ratio", "0.5", "--out", str(tmp_path / "run")],
+            "bench": ["--m-list", "50"],
+            "verify": [],
+            "synth": ["--classes", "2", "--per-class", "5",
+                      "--out", str(tmp_path / "synth")],
+        }[argv[0]]
+        code = main(argv + rest)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("E_ARG:") and flag in err
+
     def test_unknown_method_is_arg_error(self, synth_dir, tmp_path, capsys):
         code = run_prune(synth_dir, tmp_path / "r", "--method", "glister",
                          "--ratio", "0.5")

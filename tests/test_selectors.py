@@ -50,6 +50,43 @@ class TestBudget:
             resolve_budget(1.2, 10)
 
 
+# Every selector, called with m = 6 examples and budget s.
+BUDGET_SELECTORS = {
+    "uniform": lambda s: select_uniform(6, s, seed=0),
+    "by_score": lambda s: select_by_score(np.arange(6.0), s, "ascending"),
+    "margin": lambda s: select_margin(np.full((6, 2), 0.5), s),
+    "kcenter_greedy": lambda s: select_kcenter_greedy(np.eye(6), s, seed=0),
+    "moderate": lambda s: select_moderate(np.eye(6), [0, 1] * 3, s),
+    "greedy_sequence": lambda s: greedy_sequence(
+        build_graph(np.eye(6), 0.5), np.full(6, 0.5), s
+    ),
+}
+
+
+class TestSelectorBudgets:
+    """Each selector reads its budget with resolve_budget: 1 <= s <= m."""
+
+    @pytest.mark.parametrize("name", BUDGET_SELECTORS)
+    @pytest.mark.parametrize("s", [0, -1, 7])
+    def test_size_outside_one_to_m_rejected(self, name, s):
+        with pytest.raises(ValueError, match="empty subset|exceeds"):
+            BUDGET_SELECTORS[name](s)
+
+    @pytest.mark.parametrize("name", BUDGET_SELECTORS)
+    def test_size_m_selects_everything(self, name):
+        assert sorted(BUDGET_SELECTORS[name](6)) == list(range(6))
+
+    def test_greedy_rejects_before_selecting(self, monkeypatch):
+        import neighborprune.selectors as selectors_mod
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("greedy loop started")
+
+        monkeypatch.setattr(selectors_mod, "_greedy_core", refuse)
+        with pytest.raises(ValueError, match="exceeds"):
+            BUDGET_SELECTORS["greedy_sequence"](7)
+
+
 class TestGreedySelection:
     def test_first_pick_is_confidence_argmax(self):
         rng = np.random.default_rng(31)
