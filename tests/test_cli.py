@@ -162,6 +162,42 @@ class TestPrune:
                 assert err.startswith("E_FORMAT:")
                 assert str(probs) in err
 
+    @pytest.mark.parametrize("extra", [
+        ["--method", "prune4rel", "--tau", "0.9"],
+        ["--method", "prune4rel", "--tau", "0.9", "--confidence-metric", "external"],
+        ["--method", "margin"],
+        ["--method", "small_loss"],
+        ["--method", "small_loss", "--scores"],
+        ["--method", "uniform"],
+    ])
+    def test_probs_validated_once(self, synth_dir, tmp_path, monkeypatch, extra):
+        # --probs is checked once on load, naming the file, before any step
+        # reads it; public steps that read the matrix may check it again.
+        import neighborprune.dataset as dataset_mod
+        import neighborprune.selectors as selectors_mod
+
+        calls = []
+        check = dataset_mod._validate_probabilities
+
+        def counted(probs, where="probabilities"):
+            calls.append((probs.shape, where))
+            return check(probs, where=where)
+
+        monkeypatch.setattr(dataset_mod, "_validate_probabilities", counted)
+        monkeypatch.setattr(selectors_mod, "_validate_probabilities", counted)
+        values = tmp_path / "values.txt"
+        save_scores(values, np.linspace(0.0, 1.0, 200))
+        if extra[-1] == "--scores":
+            extra = extra + [str(values)]
+        if "external" in extra:
+            extra = extra + ["--confidence-file", str(values)]
+        code = run_prune(synth_dir, tmp_path / "run", "--ratio", "0.2", *extra)
+        assert code == 0
+        on_load = ((200, 5), str(synth_dir / "probabilities.bin"))
+        assert calls[0] == on_load
+        assert calls.count(on_load) == 1
+        assert all(shape == (200, 5) for shape, _ in calls)
+
     def test_bad_magic_is_format_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.bin"
         bad.write_bytes(b"JUNKJUNKJUNKJUNKJUNK")
