@@ -92,6 +92,15 @@ def _at_least(k: int):
 _tau = _checked(float, lambda value: -1.0 < value <= 1.0, "in (-1, 1]")
 
 
+def _int_list(text: str) -> list[int]:
+    return [int(tok) for tok in text.split(",") if tok.strip()]
+
+
+_int_list.__name__ = "int list"  # argparse: "invalid int list value: '17,x'"
+_sizes = _checked(_int_list, lambda sizes: bool(sizes) and min(sizes) >= 1,
+                  "comma-separated integers of at least 1")
+
+
 def _input_digests(paths: dict[str, str | None]) -> dict[str, str]:
     return {
         name: hashlib.blake2b(Path(path).read_bytes(), digest_size=8).hexdigest()
@@ -283,8 +292,6 @@ def _add_eval_parser(sub) -> None:
 
 def cmd_eval(args) -> int:
     selected = load_selected(args.selected)
-    if not selected.size:
-        raise FormatError(f"{args.selected}: no selected indices")
     noisy = load_labels(args.noisy_labels)
     outside = selected[(selected < 0) | (selected >= noisy.size)]
     if outside.size:
@@ -394,6 +401,10 @@ def cmd_synth(args) -> int:
             "noise_model": args.noise_model,
             "concentration": args.concentration,
             "separation": args.separation,
+            "clean_conf_mean": args.clean_conf_mean,
+            "clean_conf_std": args.clean_conf_std,
+            "noisy_conf_mean": args.noisy_conf_mean,
+            "noisy_conf_std": args.noisy_conf_std,
             "seed": args.seed,
         },
         inputs={},
@@ -423,43 +434,15 @@ def _add_verify_parser(sub) -> None:
 
 
 def cmd_verify(args) -> int:
-    base = args.seed
     results = []
-    if args.preset in ("exhaustive", "all"):
-        n_inst = args.instances or 200
-        n_probe = args.probes or 500
-        results.append(
-            verify_mod.check_greedy_bound(instances=n_inst, seed=20240501 + base)
-        )
-        results.append(
-            verify_mod.check_monotonicity(probes=n_probe, seed=20240502 + base)
-        )
-        results.append(
-            verify_mod.check_submodularity(probes=n_probe, seed=20240503 + base)
-        )
-        results.append(
-            verify_mod.check_lazy_eager_equivalence(
-                instances=args.instances or 100, seed=20240504 + base
-            )
-        )
-        results.append(
-            verify_mod.check_degenerate_equivalences(
-                instances=args.instances or 100, seed=20240505 + base
-            )
-        )
-        results.append(
-            verify_mod.check_class_balance(
-                instances=args.instances or 50, seed=20240506 + base
-            )
-        )
-    correlation = None
-    if args.preset in ("trend", "all"):
-        trend = verify_mod.trend_correction_correlation(seed=20240507 + base)
-        correlation = trend.data.get("report")
-        results.append(trend)
-        results.append(verify_mod.trend_subset_noise_ratio(seed=20240508 + base))
-    for result in results:
-        print(result.line())
+    for k, (preset, check, count) in enumerate(verify_mod.SUITE):
+        if args.preset not in (preset, "all"):
+            continue
+        kwargs = {"seed": verify_mod.SUITE_SEED + k + args.seed}
+        if count is not None and getattr(args, count) is not None:
+            kwargs[count] = getattr(args, count)
+        results.append(check(**kwargs))
+        print(results[-1].line())
     if args.out:
         summary = {
             r.name: {"ok": r.ok, "detail": r.detail}
@@ -468,9 +451,10 @@ def cmd_verify(args) -> int:
         Path(args.out).write_text(
             json.dumps(summary, indent=2) + "\n", encoding="utf-8"
         )
-        if correlation is not None:
-            csv_path = Path(args.out).with_suffix(".correlation.csv")
-            verify_mod.write_correlation_csv(csv_path, correlation)
+        for r in results:
+            if "report" in r.data:  # the correction-confidence trend
+                csv_path = Path(args.out).with_suffix(".correlation.csv")
+                verify_mod.write_correlation_csv(csv_path, r.data["report"])
     return 0 if all(r.ok for r in results) else 1
 
 
@@ -480,7 +464,7 @@ def cmd_verify(args) -> int:
 
 def _add_bench_parser(sub) -> None:
     p = sub.add_parser("bench", help="scaling measurements, CSV output")
-    p.add_argument("--m-list", required=True, help="comma-separated sizes")
+    p.add_argument("--m-list", type=_sizes, required=True, help="comma-separated sizes")
     p.add_argument("--d", type=_at_least(1), default=32)
     p.add_argument("--ratio", type=float, default=0.5)
     p.add_argument("--repeat", type=_at_least(1), default=1)
@@ -493,16 +477,8 @@ def _add_bench_parser(sub) -> None:
 
 
 def cmd_bench(args) -> int:
-    try:
-        m_list = [int(tok) for tok in args.m_list.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise CliError(f"--m-list must be comma-separated integers: {exc}") from exc
-    if not m_list:
-        raise CliError("--m-list is empty")
-    if min(m_list) < 1:
-        raise CliError(f"--m-list sizes must be at least 1, got {min(m_list)}")
     try:  # the smallest size is the one a small ratio empties
-        resolve_budget(args.ratio, min(m_list))
+        resolve_budget(args.ratio, min(args.m_list))
     except ValueError as exc:
         raise CliError(f"--ratio: {exc}") from exc
     methods = tuple(tok.strip() for tok in args.methods.split(",") if tok.strip())
@@ -512,7 +488,7 @@ def cmd_bench(args) -> int:
     if "prune4rel" in methods and args.tau < 0:
         raise CliError(f"--tau must be at least 0 for prune4rel, got {args.tau}")
     rows = verify_mod.run_scaling_benchmark(
-        m_list,
+        args.m_list,
         d=args.d,
         ratio=args.ratio,
         repeat=args.repeat,
@@ -528,7 +504,7 @@ def cmd_bench(args) -> int:
         manifest = RunManifest(
             command="bench",
             config={
-                "m_list": m_list,
+                "m_list": args.m_list,
                 "d": args.d,
                 "ratio": args.ratio,
                 "repeat": args.repeat,
@@ -577,16 +553,10 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"E_ARG: {exc}", file=sys.stderr)
         return 2
-    except FormatError as exc:
-        print(f"E_FORMAT: {exc}", file=sys.stderr)
-        return 3
     except GuardError as exc:
         print(f"E_GUARD: {exc}", file=sys.stderr)
         return 4
-    except FileNotFoundError as exc:
-        print(f"E_FORMAT: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:
+    except (ValueError, FileNotFoundError) as exc:  # FormatError is a ValueError
         print(f"E_FORMAT: {exc}", file=sys.stderr)
         return 3
 

@@ -141,25 +141,38 @@ def save_labels(path: str | Path, labels: np.ndarray) -> None:
     )
 
 
-def load_labels(path: str | Path) -> np.ndarray:
-    """Load zero-based integer class labels, one per line."""
-    values: list[int] = []
+def read_values(path: str | Path, parse, what: str) -> list:
+    """The values parse() reads from each stripped, non-blank line of a text
+    file. A parse error names the file and line; a file with no values fails."""
     path = Path(path)
+    values = []
     with path.open("r", encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                value = int(line)
+                values.append(parse(line))
             except ValueError as exc:
-                raise FormatError(f"{path}: line {lineno}: not an integer") from exc
-            if value < 0:
-                raise FormatError(f"{path}: line {lineno}: negative label {value}")
-            values.append(value)
+                raise FormatError(f"{path}: line {lineno}: {exc}") from exc
     if not values:
-        raise FormatError(f"{path}: empty label file")
-    return np.array(values, dtype=np.int64)
+        raise FormatError(f"{path}: empty {what} file")
+    return values
+
+
+def _label(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise ValueError("not an integer") from None
+    if value < 0:
+        raise ValueError(f"negative label {value}")
+    return value
+
+
+def load_labels(path: str | Path) -> np.ndarray:
+    """Load zero-based integer class labels, one per line."""
+    return np.array(read_values(path, _label, "label"), dtype=np.int64)
 
 
 def save_scores(path: str | Path, values: np.ndarray) -> None:
@@ -170,24 +183,18 @@ def save_scores(path: str | Path, values: np.ndarray) -> None:
     )
 
 
+def _number(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise ValueError("not a number") from None
+
+
 def load_scores(path: str | Path) -> np.ndarray:
     """Load one real value per line."""
-    values: list[float] = []
-    path = Path(path)
-    with path.open("r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                values.append(float(line))
-            except ValueError as exc:
-                raise FormatError(f"{path}: line {lineno}: not a number") from exc
-    if not values:
-        raise FormatError(f"{path}: empty score file")
-    out = np.array(values, dtype=np.float64)
-    _require_finite(out, str(path))
-    return out
+    values = np.array(read_values(path, _number, "score"), dtype=np.float64)
+    _require_finite(values, str(path))
+    return values
 
 
 def load_external_confidence(path: str | Path) -> np.ndarray:
@@ -230,7 +237,7 @@ def compute_confidence(probabilities: np.ndarray, metric: str) -> np.ndarray:
         values = probs.max(axis=1)
     elif metric == "diff_prob":
         if probs.shape[1] < 2:
-            raise ValueError("diff_prob requires at least 2 classes")
+            raise ValueError("diff_prob and margin selection require at least 2 classes")
         top2 = np.sort(probs, axis=1)[:, -2:]
         values = top2[:, 1] - top2[:, 0]
     else:

@@ -157,3 +157,12 @@ def marginal_gains_paper(
     before = state.nbr_conf[cands]
     gains = utility(before + state.conf[cands]) - utility(before)
     return np.maximum(gains, 0.0)
+
+
+def marginal_gains_exact(
+    state: SelectionState, cands: np.ndarray, utility: Utility
+) -> np.ndarray:
+    """Exact objective increments of the candidate indices cands."""
+    return np.array(
+        [marginal_gain_exact(state, int(x), utility) for x in cands], dtype=np.float64
+    )

@@ -30,13 +30,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import _validate_probabilities, compute_small_loss_scores
+from .dataset import compute_confidence, compute_small_loss_scores, read_values
 from .objective import (
     SelectionState,
     Utility,
     confidence_values,
     marginal_gain_exact,
     marginal_gain_paper,
+    marginal_gains_exact,
     marginal_gains_paper,
     total_objective,
 )
@@ -68,7 +69,12 @@ METHOD_TABLE = {
     "ssp": MethodSpec(("scores",), "descending"),
 }
 METHODS = tuple(METHOD_TABLE)
-GAIN_MODES = ("paper_faithful", "exact_marginal")
+# Gain mode -> (gain of one candidate, gains of a candidate array).
+GAINS = {
+    "paper_faithful": (marginal_gain_paper, marginal_gains_paper),
+    "exact_marginal": (marginal_gain_exact, marginal_gains_exact),
+}
+GAIN_MODES = tuple(GAINS)
 
 # Neighborhood-threshold presets as shipped configuration.
 TAU_PRESETS = {"cifar10n": 0.975, "cifar100n": 0.95, "clothing1m": 0.8}
@@ -178,57 +184,35 @@ def write_selected(path, selected: Sequence[int]) -> None:
 
 
 def load_selected(path) -> np.ndarray:
-    values = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                values.append(int(line))
-    return np.array(values, dtype=np.int64)
+    """Indices written by write_selected, in selection order."""
+    return np.array(read_values(path, int, "selection"), dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
 # Greedy neighborhood-confidence selection
 # ---------------------------------------------------------------------------
 
-def _scalar_gain(state: SelectionState, x: int, utility: Utility, gain_mode: str) -> float:
-    if gain_mode == "paper_faithful":
-        return marginal_gain_paper(state, x, utility)
-    return marginal_gain_exact(state, x, utility)
-
-
-def _pool_gains(state: SelectionState, cands: np.ndarray, utility: Utility,
-                gain_mode: str) -> np.ndarray:
-    """Fresh gains for a candidate array; elementwise-identical to the
-    scalar path (pinned by a test against batch/scalar ufunc equality)."""
-    if gain_mode == "paper_faithful":
-        return marginal_gains_paper(state, cands, utility)
-    return np.array(
-        [marginal_gain_exact(state, int(x), utility) for x in cands], dtype=np.float64
-    )
-
-
-def _eager_pick(state, pool, utility, gain_mode):
+def _eager_pick(state, pool, utility, gains_of):
     cands = pool[~state.in_set[pool]]
     if cands.size == 0:
         return None
-    gains = _pool_gains(state, cands, utility, gain_mode)
+    gains = gains_of(state, cands, utility)
     return int(cands[int(np.argmax(gains))])
 
 
-def _lazy_pick(state, heap, utility, gain_mode):
+def _lazy_pick(state, heap, utility, gain_of):
     stamp = len(state.selected)
     while heap:
         neg_gain, x, at = heapq.heappop(heap)
         if at == stamp:
             return x
-        fresh = _scalar_gain(state, x, utility, gain_mode)
+        fresh = gain_of(state, x, utility)
         heapq.heappush(heap, (-fresh, x, stamp))
     return None
 
 
-def _init_heap(state, pool, utility, gain_mode):
-    gains = _pool_gains(state, pool, utility, gain_mode)
+def _init_heap(state, pool, utility, gains_of):
+    gains = gains_of(state, pool, utility)
     heap = [(-float(g), int(x), 0) for g, x in zip(gains, pool)]
     heapq.heapify(heap)
     return heap
@@ -244,14 +228,15 @@ def _greedy_core(
     pools: list[np.ndarray],
 ) -> SelectionState:
     state = SelectionState(graph, confidence)
-    heaps = [_init_heap(state, pool, utility, gain_mode) for pool in pools] if lazy else None
+    gain_of, gains_of = GAINS[gain_mode]
+    heaps = [_init_heap(state, pool, utility, gains_of) for pool in pools] if lazy else None
     while True:
         progressed = False
         for pi, pool in enumerate(pools):
             if lazy:
-                x = _lazy_pick(state, heaps[pi], utility, gain_mode)
+                x = _lazy_pick(state, heaps[pi], utility, gain_of)
             else:
-                x = _eager_pick(state, pool, utility, gain_mode)
+                x = _eager_pick(state, pool, utility, gains_of)
             if x is None:
                 continue
             state.add(x)
@@ -331,12 +316,7 @@ def select_by_score(scores, s: int | float, direction: str) -> list[int]:
 
 def select_margin(probabilities: np.ndarray, s: int | float) -> list[int]:
     """Smallest gap between the top two class probabilities first."""
-    probs = np.asarray(probabilities, dtype=np.float64)
-    _validate_probabilities(probs)
-    if probs.shape[1] < 2:
-        raise ValueError("margin selection requires at least 2 classes")
-    top2 = np.sort(probs, axis=1)[:, -2:]
-    return select_by_score(top2[:, 1] - top2[:, 0], s, "ascending")
+    return select_by_score(compute_confidence(probabilities, "diff_prob"), s, "ascending")
 
 
 def select_kcenter_greedy(

@@ -363,13 +363,10 @@ def check_greedy_bound(
         graph, conf = _random_instance(rng, m_hi=m_hi, taus=taus)
         m = graph.num_rows
         s = int(rng.integers(1, min(s_hi, m) + 1))
-        selected = greedy_sequence(
-            graph, conf, s, utility=utility, gain_mode="exact_marginal", lazy=True
+        config = SelectorConfig(
+            method="prune4rel", budget=s, utility=utility, gain_mode="exact_marginal"
         )
-        state = SelectionState(graph, conf)
-        for x in selected:
-            state.add(x)
-        greedy_obj = total_objective(state, utility)
+        greedy_obj = run_selection(config, confidence=conf, graph=graph).objective_value
         _, best_obj = brute_force_optimum(graph, conf, s, utility)
         margin = greedy_obj - APPROX_FACTOR * best_obj
         worst_margin = min(worst_margin, margin)
@@ -662,6 +659,22 @@ def trend_subset_noise_ratio(
         ),
         data={"ratios": list(ratios), "observed": observed, "population": population},
     )
+
+
+# The verify command's checks in order, each with its preset and the count
+# keyword it takes (also the flag that overrides it; None: no count). Check k
+# runs at seed SUITE_SEED + k + the command's --seed.
+SUITE = (
+    ("exhaustive", check_greedy_bound, "instances"),
+    ("exhaustive", check_monotonicity, "probes"),
+    ("exhaustive", check_submodularity, "probes"),
+    ("exhaustive", check_lazy_eager_equivalence, "instances"),
+    ("exhaustive", check_degenerate_equivalences, "instances"),
+    ("exhaustive", check_class_balance, "instances"),
+    ("trend", trend_correction_correlation, None),
+    ("trend", trend_subset_noise_ratio, None),
+)
+SUITE_SEED = 20240501
 
 
 # ---------------------------------------------------------------------------

@@ -55,6 +55,23 @@ def run_prune(synth_dir, out_dir, *extra):
 
 
 class TestSynth:
+    def test_manifest_records_confidence_parameters(self, tmp_path):
+        configs = []
+        for mean in ("0.9", "0.6"):
+            out = tmp_path / mean
+            code = main(
+                ["synth", "--classes", "3", "--per-class", "10", "--dim", "4",
+                 "--clean-conf-mean", mean, "--out", str(out)]
+            )
+            assert code == 0
+            configs.append(json.loads((out / "manifest.json").read_text())["config"])
+        assert configs[0]["clean_conf_mean"] == 0.9
+        assert configs[1]["clean_conf_mean"] == 0.6
+        for config in configs:
+            assert config["clean_conf_std"] == 0.05
+            assert config["noisy_conf_mean"] == 0.35
+            assert config["noisy_conf_std"] == 0.1
+
     def test_outputs_and_flip_count(self, synth_dir):
         noisy = load_labels(synth_dir / "noisy_labels.txt")
         truth = load_labels(synth_dir / "true_labels.txt")
@@ -174,7 +191,6 @@ class TestPrune:
         # --probs is checked once on load, naming the file, before any step
         # reads it; public steps that read the matrix may check it again.
         import neighborprune.dataset as dataset_mod
-        import neighborprune.selectors as selectors_mod
 
         calls = []
         check = dataset_mod._validate_probabilities
@@ -184,7 +200,6 @@ class TestPrune:
             return check(probs, where=where)
 
         monkeypatch.setattr(dataset_mod, "_validate_probabilities", counted)
-        monkeypatch.setattr(selectors_mod, "_validate_probabilities", counted)
         values = tmp_path / "values.txt"
         save_scores(values, np.linspace(0.0, 1.0, 200))
         if extra[-1] == "--scores":
@@ -455,6 +470,17 @@ class TestEval:
         assert captured.err.startswith("E_FORMAT:") and str(sel_path) in captured.err
         assert captured.out == ""
 
+    def test_bad_entry_names_file_and_line(self, synth_dir, tmp_path, capsys):
+        sel_path = tmp_path / "sel.txt"
+        sel_path.write_text("1\nabc\n")
+        code = main(
+            ["eval", "--selected", str(sel_path),
+             "--noisy-labels", str(synth_dir / "noisy_labels.txt")]
+        )
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("E_FORMAT:") and f"{sel_path}: line 2:" in err
+
     def test_error_names_the_negative_index(self, tmp_path, capsys):
         sel_path = tmp_path / "sel.txt"
         sel_path.write_text("0\n-1\n")
@@ -475,6 +501,26 @@ class TestVerifyCommand:
         assert code == 0
         assert out.count("PASS") == 6
         assert "FAIL" not in out
+
+    def test_checks_run_at_suite_seeds(self, tmp_path, capsys):
+        out = tmp_path / "s.json"
+        code = main(["verify", "--preset", "exhaustive", "--instances", "3",
+                     "--probes", "7", "--seed", "2", "--out", str(out)])
+        capsys.readouterr()
+        assert code == 0
+        summary = json.loads(out.read_text())
+        direct = [
+            (verify_mod.check_greedy_bound, {"instances": 3}),
+            (verify_mod.check_monotonicity, {"probes": 7}),
+            (verify_mod.check_submodularity, {"probes": 7}),
+            (verify_mod.check_lazy_eager_equivalence, {"instances": 3}),
+            (verify_mod.check_degenerate_equivalences, {"instances": 3}),
+            (verify_mod.check_class_balance, {"instances": 3}),
+        ]
+        assert len(summary) == len(direct)
+        for k, (check, count) in enumerate(direct):
+            result = check(seed=20240501 + k + 2, **count)
+            assert summary[result.name]["detail"] == result.detail
 
     @pytest.mark.parametrize(
         "flags",

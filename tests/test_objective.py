@@ -9,6 +9,7 @@ from neighborprune.objective import (
     marginal_gains_paper,
     total_objective,
 )
+from neighborprune.selectors import GAINS
 from neighborprune.similarity import build_graph
 
 TINY_EMB = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
@@ -216,6 +217,7 @@ class TestMarginalGains:
         util = Utility("tanh")
         state = state_with(graph, conf, [3, 7, 11])
         cands = np.flatnonzero(~state.in_set)
-        vector = marginal_gains_paper(state, cands, util)
-        for x, gain in zip(cands.tolist(), vector.tolist()):
-            assert gain == marginal_gain_paper(state, x, util)
+        for gain_of, gains_of in GAINS.values():
+            vector = gains_of(state, cands, util)
+            for x, gain in zip(cands.tolist(), vector.tolist()):
+                assert gain == gain_of(state, x, util)
