@@ -70,7 +70,20 @@ class RunManifest:
     version: str = __version__
 
     def write(self, path: Path) -> None:
-        path.write_text(json.dumps(asdict(self), indent=2) + "\n", encoding="utf-8")
+        _write(path, json.dumps(asdict(self), indent=2) + "\n")
+
+
+def _write(path, text: str) -> None:
+    """Write text to path, creating its missing parent directories."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text, encoding="utf-8")
+
+
+def _flags(args) -> dict:
+    """The command's parsed flags in declaration order, as its manifest
+    records them; the output path is recorded among the outputs."""
+    return {k: v for k, v in vars(args).items() if k not in ("command", "out")}
 
 
 def _checked(convert, ok, rule: str):
@@ -89,7 +102,8 @@ def _at_least(k: int):
     return _checked(int, lambda value: value >= k, f"an integer of at least {k}")
 
 
-_tau = _checked(float, lambda value: -1.0 < value <= 1.0, "in (-1, 1]")
+# The greedy refuses a negative tau, and no other method reads --tau.
+_tau = _checked(float, lambda value: 0.0 <= value <= 1.0, "in [0, 1]")
 
 
 def _int_list(text: str) -> list[int]:
@@ -99,6 +113,14 @@ def _int_list(text: str) -> list[int]:
 _int_list.__name__ = "int list"  # argparse: "invalid int list value: '17,x'"
 _sizes = _checked(_int_list, lambda sizes: bool(sizes) and min(sizes) >= 1,
                   "comma-separated integers of at least 1")
+
+
+def _methods(text: str) -> list[str]:
+    names = [tok.strip() for tok in text.split(",") if tok.strip()]
+    for name in names:
+        if name not in verify_mod.SCALING_METHODS:
+            raise argparse.ArgumentTypeError(f"benchmark does not cover {name!r}")
+    return names
 
 
 def _input_digests(paths: dict[str, str | None]) -> dict[str, str]:
@@ -199,8 +221,6 @@ def cmd_prune(args) -> int:
     problem = requirement_error(method, supplied, spell=flags.get)
     if problem:
         raise CliError(problem)
-    if needs_graph and tau < 0:  # SelectionState refuses it only after the m^2 build
-        raise CliError(f"--tau must be at least 0 for {method}, got {tau}")
 
     embeddings = load_matrix(args.embeddings, args.embeddings_format)
     noisy_labels = load_labels(args.labels) if args.labels else None
@@ -258,15 +278,10 @@ def cmd_prune(args) -> int:
     manifest = RunManifest(
         command="prune",
         config=config.as_dict(),
-        inputs=_input_digests(
-            {
-                "embeddings": args.embeddings,
-                "probs": args.probs,
-                "labels": args.labels,
-                "scores": args.scores,
-                "confidence_file": args.confidence_file,
-            }
-        ),
+        inputs=_input_digests({
+            name: values[name]
+            for name in ("embeddings", "probs", "labels", "scores", "confidence_file")
+        }),
         outputs=[str(selected_path), str(report_path)],
         timings=report.timings,
     )
@@ -316,14 +331,8 @@ def cmd_eval(args) -> int:
         "manifest": asdict(
             RunManifest(
                 command="eval",
-                config={"selected": args.selected},
-                inputs=_input_digests(
-                    {
-                        "selected": args.selected,
-                        "noisy_labels": args.noisy_labels,
-                        "true_labels": args.true_labels,
-                    }
-                ),
+                config=_flags(args),
+                inputs=_input_digests(_flags(args)),  # every flag names a file
                 outputs=[args.out] if args.out else [],
                 timings={},
             )
@@ -332,7 +341,7 @@ def cmd_eval(args) -> int:
     text = json.dumps(result, indent=2) + "\n"
     sys.stdout.write(text)
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        _write(args.out, text)
     return 0
 
 
@@ -375,9 +384,9 @@ def cmd_synth(args) -> int:
             noisy_confidence=(args.noisy_conf_mean, args.noisy_conf_std),
             seed=args.seed,
         )
-        data = verify_mod.generate_synthetic(config)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
+    data = verify_mod.generate_synthetic(config)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = {
@@ -393,20 +402,7 @@ def cmd_synth(args) -> int:
     flips = int(np.count_nonzero(data.noisy_labels != data.ground_truth_labels))
     manifest = RunManifest(
         command="synth",
-        config={
-            "classes": args.classes,
-            "per_class": args.per_class,
-            "dim": args.dim,
-            "noise": args.noise,
-            "noise_model": args.noise_model,
-            "concentration": args.concentration,
-            "separation": args.separation,
-            "clean_conf_mean": args.clean_conf_mean,
-            "clean_conf_std": args.clean_conf_std,
-            "noisy_conf_mean": args.noisy_conf_mean,
-            "noisy_conf_std": args.noisy_conf_std,
-            "seed": args.seed,
-        },
+        config=_flags(args),
         inputs={},
         outputs=[str(p) for p in paths.values()],
         timings={},
@@ -448,9 +444,7 @@ def cmd_verify(args) -> int:
             r.name: {"ok": r.ok, "detail": r.detail}
             for r in results
         }
-        Path(args.out).write_text(
-            json.dumps(summary, indent=2) + "\n", encoding="utf-8"
-        )
+        _write(args.out, json.dumps(summary, indent=2) + "\n")
         for r in results:
             if "report" in r.data:  # the correction-confidence trend
                 csv_path = Path(args.out).with_suffix(".correlation.csv")
@@ -470,7 +464,8 @@ def _add_bench_parser(sub) -> None:
     p.add_argument("--repeat", type=_at_least(1), default=1)
     p.add_argument("--tau", type=_tau, default=0.5)
     p.add_argument(
-        "--methods", default="prune4rel,kcenter_greedy", help="comma-separated"
+        "--methods", type=_methods, default="prune4rel,kcenter_greedy",
+        help="comma-separated",
     )
     p.add_argument("--seed", type=_at_least(0), default=20240509)
     p.add_argument("--out", help="CSV file (default stdout)")
@@ -481,12 +476,6 @@ def cmd_bench(args) -> int:
         resolve_budget(args.ratio, min(args.m_list))
     except ValueError as exc:
         raise CliError(f"--ratio: {exc}") from exc
-    methods = tuple(tok.strip() for tok in args.methods.split(",") if tok.strip())
-    unknown = [name for name in methods if name not in verify_mod.SCALING_METHODS]
-    if unknown:
-        raise CliError(f"--methods: benchmark does not cover {unknown[0]!r}")
-    if "prune4rel" in methods and args.tau < 0:
-        raise CliError(f"--tau must be at least 0 for prune4rel, got {args.tau}")
     rows = verify_mod.run_scaling_benchmark(
         args.m_list,
         d=args.d,
@@ -494,24 +483,16 @@ def cmd_bench(args) -> int:
         repeat=args.repeat,
         seed=args.seed,
         tau=args.tau,
-        methods=methods,
+        methods=args.methods,
     )
     lines = ["m,method,seconds"]
     lines += [f"{r['m']},{r['method']},{r['seconds']:.6f}" for r in rows]
     text = "\n".join(lines) + "\n"
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        _write(args.out, text)
         manifest = RunManifest(
             command="bench",
-            config={
-                "m_list": args.m_list,
-                "d": args.d,
-                "ratio": args.ratio,
-                "repeat": args.repeat,
-                "tau": args.tau,
-                "methods": list(methods),
-                "seed": args.seed,
-            },
+            config=_flags(args),
             inputs={},
             outputs=[args.out],
             timings={},

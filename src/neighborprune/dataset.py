@@ -98,27 +98,17 @@ def _load_matrix_binary(path: Path) -> np.ndarray:
 
 
 def _load_matrix_csv(path: Path) -> np.ndarray:
-    rows: list[list[float]] = []
-    width: int | None = None
-    with path.open("r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            fields = line.split(",")
-            if width is None:
-                width = len(fields)
-            elif len(fields) != width:
-                raise FormatError(
-                    f"{path}: line {lineno} has {len(fields)} values, expected {width}"
-                )
-            try:
-                rows.append([float(f) for f in fields])
-            except ValueError as exc:
-                raise FormatError(f"{path}: line {lineno}: {exc}") from exc
-    if not rows:
-        raise FormatError(f"{path}: empty csv matrix")
-    matrix = np.array(rows, dtype=np.float64)
+    width = None  # the first row's, which every row must have
+
+    def row(line: str) -> list[float]:
+        nonlocal width
+        fields = line.split(",")
+        width = width or len(fields)
+        if len(fields) != width:
+            raise ValueError(f"has {len(fields)} values, expected {width}")
+        return [float(text) for text in fields]
+
+    matrix = np.array(read_values(path, row, "csv matrix"), dtype=np.float64)
     _require_finite(matrix, str(path))
     return matrix
 

@@ -84,10 +84,6 @@ class SelectionState:
         self.nbr_conf = np.zeros(graph.num_rows, dtype=np.float64)
         self._comp = np.zeros(graph.num_rows, dtype=np.float64)
 
-    @property
-    def num_examples(self) -> int:
-        return self.graph.num_rows
-
     def add(self, x: int) -> None:
         """Select x and fold weight(x, v) * C(x) into every neighbor v."""
         x = _require_unselected(self, x)
@@ -122,7 +118,7 @@ def total_objective(state: SelectionState, utility: Utility) -> float:
 
 def _require_unselected(state: SelectionState, x: int) -> int:
     x = int(x)
-    if not 0 <= x < state.num_examples:
+    if not 0 <= x < state.graph.num_rows:
         raise IndexError(f"index {x} out of range")
     if state.in_set[x]:
         raise ValueError(f"example {x} is already selected")

@@ -24,7 +24,7 @@ from __future__ import annotations
 import heapq
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from numbers import Integral
 from typing import Sequence
 
@@ -135,17 +135,8 @@ class SelectorConfig:
             raise ValueError(f"unknown gain mode {self.gain_mode!r}")
 
     def as_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "budget": self.budget,
-            "tau": self.tau,
-            "utility": self.utility.kind,
-            "gain_mode": self.gain_mode,
-            "lazy": self.lazy,
-            "seed": self.seed,
-            # Every selector breaks ties by lowest index.
-            "tie_break": "lowest_index",
-        }
+        # Every selector breaks ties by lowest index.
+        return asdict(self) | {"utility": self.utility.kind, "tie_break": "lowest_index"}
 
 
 @dataclass

@@ -32,6 +32,7 @@ from .selectors import (
 from .similarity import GuardError, NeighborGraph, build_graph
 
 BRUTE_FORCE_SUBSET_CAP = 10**7
+BRUTE_FORCE_CHUNK = 2048  # subsets scored per vectorized pass
 
 NOISE_MODELS = ("asymmetric_next_class", "symmetric")
 
@@ -62,17 +63,30 @@ class SynthConfig:
     noisy_confidence: tuple[float, float] = (0.35, 0.1)
     seed: int = 0
 
-    def __post_init__(self):
-        if self.num_classes < 1 or self.points_per_class < 1:
+    def __post_init__(self):  # the one check on the parameters; NaN fails each test
+        c = self.num_classes
+        if not (c >= 1 and self.points_per_class >= 1):
             raise ValueError("num_classes and points_per_class must be positive")
+        if not self.embedding_dim >= c + 1:
+            raise ValueError(
+                f"infeasible geometry: {c} separated class centers need "
+                f"embedding_dim >= {c + 1}, got {self.embedding_dim}"
+            )
         if not 0.0 <= self.noise_rate < 1.0:
             raise ValueError("noise_rate must lie in [0, 1)")
-        if self.within_class_concentration <= 0.0:
-            raise ValueError("within_class_concentration must be positive")
-        if self.between_class_separation < 0.0:
+        if not 0.0 < self.within_class_concentration < math.inf:
+            raise ValueError("within_class_concentration must be positive and finite")
+        if not self.between_class_separation >= 0.0:
             raise ValueError("between_class_separation must be >= 0")
         if self.noise_model not in NOISE_MODELS:
             raise ValueError(f"unknown noise model {self.noise_model!r}")
+        flips = math.floor(self.noise_rate * self.points_per_class)  # per class
+        if c == 1 and flips > 0 and self.noise_model == "symmetric":
+            raise ValueError("symmetric label noise needs a second class to flip to")
+        for mean, std in (self.clean_confidence, self.noisy_confidence):
+            if not (math.isfinite(mean) and 0.0 <= std < math.inf):
+                raise ValueError(f"confidence (mean, std) = ({mean}, {std}): the "
+                                 "mean must be finite and the std in [0, inf)")
 
 
 @dataclass(frozen=True)
@@ -92,11 +106,6 @@ def generate_synthetic(config: SynthConfig) -> SyntheticData:
     c = config.num_classes
     ppc = config.points_per_class
     d = config.embedding_dim
-    if d < c + 1:
-        raise ValueError(
-            f"infeasible geometry: {c} separated class centers need "
-            f"embedding_dim >= {c + 1}, got {d}"
-        )
     rng = np.random.default_rng(config.seed)
 
     raw = rng.standard_normal((d, c + 1))
@@ -170,7 +179,6 @@ def brute_force_optimum(
     confidence,
     s: int,
     utility: Utility,
-    chunk: int = 2048,
 ) -> tuple[list[int], float]:
     """Exhaustive maximum of the objective over all size-s subsets.
 
@@ -197,7 +205,7 @@ def brute_force_optimum(
     best: tuple[int, ...] | None = None
     combos = itertools.combinations(range(m), s)
     while True:
-        block = np.array(list(itertools.islice(combos, chunk)), dtype=np.int64)
+        block = np.array(list(itertools.islice(combos, BRUTE_FORCE_CHUNK)), dtype=np.int64)
         if block.size == 0:
             break
         totals = contrib[block].sum(axis=1)
@@ -330,15 +338,15 @@ class CheckResult:
 APPROX_FACTOR = 1.0 - 1.0 / math.e
 PROBE_TOL = 1e-9
 DEFAULT_TAUS = (0.3, 0.7, 0.95)
+INSTANCE_M_LO = 4  # the smallest random probe instance
 
 
 def _random_instance(
     rng: np.random.Generator,
-    m_lo: int = 4,
     m_hi: int = 14,
     taus=DEFAULT_TAUS,
 ) -> tuple[NeighborGraph, np.ndarray]:
-    m = int(rng.integers(m_lo, m_hi + 1))
+    m = int(rng.integers(INSTANCE_M_LO, m_hi + 1))
     d = int(rng.integers(2, 9))
     emb = rng.standard_normal((m, d))
     conf = rng.uniform(0.0, 1.0, size=m)
@@ -566,14 +574,12 @@ TREND_SYNTH = dict(
 # Calibrated so neighborhood degree varies across the blob (tail examples
 # sparsely connected): the correction gradient needs both extremes.
 TREND_TAU = 0.9725
+TREND_BINS = 15  # confidence bins of the correction trend
+TREND_BOTTOM_BINS = 10  # the low bins whose correction rate must not fall
 
 
 def trend_correction_correlation(
-    seed: int = 20240507,
-    budget: float = 0.2,
-    tau: float = TREND_TAU,
-    num_bins: int = 15,
-    bottom_bins: int = 10,
+    seed: int = 20240507, budget: float = 0.2
 ) -> CheckResult:
     """On clustered noisy data, proxy-corrected examples must concentrate at
     high neighborhood confidence: Spearman rho above 0.5, correction rate
@@ -581,8 +587,8 @@ def trend_correction_correlation(
     corrected than uncorrected examples."""
     data = generate_synthetic(SynthConfig(seed=seed, **TREND_SYNTH))
     conf = compute_confidence(data.probabilities, "max_prob")
-    graph = build_graph(data.embeddings, tau)
-    config = SelectorConfig(method="prune4rel", budget=budget, tau=tau)
+    graph = build_graph(data.embeddings, TREND_TAU)
+    config = SelectorConfig(method="prune4rel", budget=budget, tau=TREND_TAU)
     report = run_selection(config, confidence=conf, graph=graph)
 
     state = SelectionState(graph, conf)
@@ -591,7 +597,7 @@ def trend_correction_correlation(
     corrected = relabel_proxy(
         data.noisy_labels, data.ground_truth_labels, graph, conf, report.selected
     )
-    corr = correlation_report(state.nbr_conf, corrected, num_bins)
+    corr = correlation_report(state.nbr_conf, corrected, TREND_BINS)
 
     mean_corrected = float(state.nbr_conf[corrected].mean()) if corrected.any() else 0.0
     uncorrected = ~corrected
@@ -599,7 +605,7 @@ def trend_correction_correlation(
         float(state.nbr_conf[uncorrected].mean()) if uncorrected.any() else 0.0
     )
 
-    rates = corr.correction_rates[:bottom_bins]
+    rates = corr.correction_rates[:TREND_BOTTOM_BINS]
     filled = rates[~np.isnan(rates)]
     nondecreasing = bool(np.all(np.diff(filled) >= 0.0))
     ok = (
@@ -611,7 +617,7 @@ def trend_correction_correlation(
         name="correction_confidence_trend",
         ok=ok,
         detail=(
-            f"spearman={corr.spearman:.3f} (need > 0.5), bottom-{bottom_bins} "
+            f"spearman={corr.spearman:.3f} (need > 0.5), bottom-{TREND_BOTTOM_BINS} "
             f"bin rates non-decreasing: {nondecreasing}, mean conf "
             f"corrected/uncorrected = {mean_corrected:.3f}/{mean_uncorrected:.3f}"
         ),
@@ -627,19 +633,17 @@ def trend_correction_correlation(
 
 
 def trend_subset_noise_ratio(
-    seed: int = 20240508,
-    ratios=(0.2, 0.4, 0.6, 0.8),
-    tau: float = TREND_TAU,
+    seed: int = 20240508, ratios=(0.2, 0.4, 0.6, 0.8)
 ) -> CheckResult:
     """The selected subset's noise ratio must grow with the budget and sit
     below the population noise rate at the smallest budget."""
     data = generate_synthetic(SynthConfig(seed=seed, **TREND_SYNTH))
     conf = compute_confidence(data.probabilities, "max_prob")
-    graph = build_graph(data.embeddings, tau)
+    graph = build_graph(data.embeddings, TREND_TAU)
     population = float(np.mean(data.noisy_labels != data.ground_truth_labels))
     observed = []
     for ratio in ratios:
-        config = SelectorConfig(method="prune4rel", budget=float(ratio), tau=tau)
+        config = SelectorConfig(method="prune4rel", budget=float(ratio), tau=TREND_TAU)
         report = run_selection(
             config,
             noisy_labels=data.noisy_labels,

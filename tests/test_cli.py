@@ -91,6 +91,21 @@ class TestSynth:
         assert code == 2
         assert "E_ARG" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag",
+        ["--clean-conf-mean", "--clean-conf-std", "--noisy-conf-mean",
+         "--noisy-conf-std", "--concentration", "--separation"],
+    )
+    def test_nan_parameter_is_arg_error_before_writing(self, tmp_path, capsys, flag):
+        out = tmp_path / "sy"
+        code = main(
+            ["synth", "--classes", "3", "--per-class", "10", flag, "nan",
+             "--out", str(out)]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith("E_ARG:")
+        assert not out.exists() or not any(out.iterdir())
+
 
 class TestPrune:
     def test_ratio_budget_line_count(self, synth_dir, tmp_path):
@@ -593,6 +608,7 @@ class TestBenchCommand:
 # Flag values outside their range, each with the flag the error must name.
 BAD_FLAG_VALUES = [
     (["prune", "--method", "uniform", "--tau", "1.5"], "--tau"),
+    (["prune", "--method", "uniform", "--tau", "-0.5"], "--tau"),
     (["prune", "--method", "prune4rel", "--tau", "nan"], "--tau"),
     (["prune", "--method", "prune4rel", "--tau", "-0.5"], "--tau"),
     (["prune", "--method", "prune4rel_balanced", "--tau", "-0.5"], "--tau"),
@@ -604,10 +620,83 @@ BAD_FLAG_VALUES = [
     (["bench", "--repeat", "0"], "--repeat"),
     (["bench", "--tau", "2"], "--tau"),
     (["bench", "--tau", "-0.5"], "--tau"),
+    (["bench", "--methods", "kcenter_greedy", "--tau", "-0.5"], "--tau"),
     (["bench", "--seed", "-1"], "--seed"),
     (["verify", "--seed", "-1"], "--seed"),
     (["synth", "--seed", "-1"], "--seed"),
 ]
+
+
+def manifest_config(path) -> dict:
+    return json.loads(Path(path).read_text())["config"]
+
+
+class TestManifestConfig:
+    """A synth, bench or eval manifest records the parsed flags, in order."""
+
+    def assert_config(self, config, expected):
+        assert config == expected
+        assert list(config) == list(expected)
+
+    def test_synth_records_every_flag(self, synth_dir):
+        self.assert_config(manifest_config(synth_dir / "manifest.json"), {
+            "classes": 5, "per_class": 40, "dim": 8, "noise": 0.2,
+            "noise_model": "asymmetric_next_class", "concentration": 20.0,
+            "separation": 0.9, "clean_conf_mean": 0.9, "clean_conf_std": 0.05,
+            "noisy_conf_mean": 0.35, "noisy_conf_std": 0.1, "seed": 11,
+        })
+
+    def test_bench_records_every_flag(self, tmp_path):
+        out = tmp_path / "b.csv"
+        code = main(
+            ["bench", "--m-list", "60,80", "--d", "4", "--tau", "0.3",
+             "--methods", " kcenter_greedy, prune4rel", "--out", str(out)]
+        )
+        assert code == 0
+        self.assert_config(manifest_config(out.with_suffix(".manifest.json")), {
+            "m_list": [60, 80], "d": 4, "ratio": 0.5, "repeat": 1, "tau": 0.3,
+            "methods": ["kcenter_greedy", "prune4rel"], "seed": 20240509,
+        })
+
+    def test_eval_records_every_flag(self, synth_dir, tmp_path, capsys):
+        sel_path = tmp_path / "sel.txt"
+        sel_path.write_text("0\n1\n")
+        labels = str(synth_dir / "noisy_labels.txt")
+        code = main(["eval", "--selected", str(sel_path), "--noisy-labels", labels])
+        assert code == 0
+        manifest = json.loads(capsys.readouterr().out)["manifest"]
+        self.assert_config(manifest["config"], {
+            "selected": str(sel_path), "noisy_labels": labels, "true_labels": None,
+        })
+
+
+class TestOutputPaths:
+    def test_missing_out_parents_are_created(self, synth_dir, tmp_path, capsys):
+        bench_out = tmp_path / "new" / "sub" / "b.csv"
+        code = main(
+            ["bench", "--m-list", "60", "--d", "4", "--methods", "kcenter_greedy",
+             "--out", str(bench_out)]
+        )
+        assert code == 0
+        assert bench_out.read_text().startswith("m,method,seconds")
+        assert bench_out.with_suffix(".manifest.json").exists()
+        sel_path = tmp_path / "sel.txt"
+        sel_path.write_text("0\n1\n")
+        eval_out = tmp_path / "new" / "e.json"
+        code = main(
+            ["eval", "--selected", str(sel_path),
+             "--noisy-labels", str(synth_dir / "noisy_labels.txt"),
+             "--out", str(eval_out)]
+        )
+        assert code == 0
+        assert json.loads(eval_out.read_text())["selected_count"] == 2
+        verify_out = tmp_path / "v" / "v.json"
+        code = main(
+            ["verify", "--preset", "exhaustive", "--instances", "1", "--probes", "1",
+             "--out", str(verify_out)]
+        )
+        assert code == 0
+        assert len(json.loads(verify_out.read_text())) == 6
 
 
 class TestParsing:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -38,6 +39,18 @@ class TestMatrixContainer:
         path = tmp_path / "m.csv"
         path.write_text("1,2\n1,2,3\n")
         with pytest.raises(FormatError, match="line 2"):
+            load_matrix(path, "csv")
+
+    def test_csv_empty_file_names_the_file(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("\n\n")
+        with pytest.raises(FormatError, match=re.escape(f"{path}: empty csv matrix")):
+            load_matrix(path, "csv")
+
+    def test_csv_bad_float_names_file_and_line(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("1,2\n\n3,x\n")
+        with pytest.raises(FormatError, match=re.escape(f"{path}: line 3: ")):
             load_matrix(path, "csv")
 
     def test_bad_magic(self, tmp_path):

@@ -445,6 +445,16 @@ class TestRunSelection:
         ]
         assert list(payload["timings"]) == ["graph_build_s", "selection_s"]
         assert payload["selected_count"] == 2
+        assert payload["config"] == {
+            "method": "prune4rel",
+            "budget": 2,
+            "tau": 0.5,
+            "utility": "tanh",
+            "gain_mode": "paper_faithful",
+            "lazy": True,
+            "seed": 0,
+            "tie_break": "lowest_index",
+        }
 
     def test_noise_ratio_with_ground_truth(self):
         graph = build_graph(TINY_EMB, 0.5)
