@@ -13,16 +13,24 @@ import numpy as np
 
 from neighborprune import (
     SelectionState,
+    SelectorConfig,
     Utility,
     brute_force_optimum,
     build_graph,
-    greedy_sequence,
     marginal_gain_exact,
+    run_selection,
     total_objective,
 )
 
 rng = np.random.default_rng(0)
 util = Utility("tanh")
+
+
+def greedy(g, c, s, **config):
+    """The report of a prune4rel selection on graph g with confidences c."""
+    config = SelectorConfig("prune4rel", s, utility=util, **config)
+    return run_selection(config, confidence=c, graph=g)
+
 
 # --- a tiny instance you can check by hand ------------------------------------
 emb = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
@@ -30,7 +38,7 @@ conf = np.array([0.9, 0.8, 0.7])
 graph = build_graph(emb, 0.5)
 
 print("3-example instance: two duplicates (conf 0.9, 0.8) and one isolated (0.7)")
-seq = greedy_sequence(graph, conf, 2)
+seq = greedy(graph, conf, 2).selected
 print(f"greedy picks {seq}: the second duplicate is nearly redundant, so the")
 print("isolated example wins the second slot despite lower confidence.\n")
 
@@ -41,11 +49,7 @@ for trial in range(200):
     g = build_graph(rng.standard_normal((m, 4)), 0.5)
     c = rng.uniform(0, 1, m)
     s = int(rng.integers(1, 6))
-    picked = greedy_sequence(g, c, s, gain_mode="exact_marginal")
-    state = SelectionState(g, c)
-    for x in picked:
-        state.add(x)
-    achieved = total_objective(state, util)
+    achieved = greedy(g, c, s, gain_mode="exact_marginal").objective_value
     _, optimum = brute_force_optimum(g, c, s, util)
     worst = min(worst, achieved / optimum)
 print(f"greedy/optimum over 200 random instances: worst ratio {worst:.4f}")
@@ -71,6 +75,6 @@ print("  " + " -> ".join(f"{v:.4f}" for v in gains) + "\n")
 m = 1500
 g = build_graph(rng.standard_normal((m, 16)), 0.7)
 c = rng.uniform(0, 1, m)
-eager = greedy_sequence(g, c, 30, lazy=False)
-lazy = greedy_sequence(g, c, 30, lazy=True)
+eager = greedy(g, c, 30, lazy=False).selected
+lazy = greedy(g, c, 30, lazy=True).selected
 print(f"lazy == eager on a {m}-example instance: {eager == lazy}")

@@ -32,7 +32,6 @@ from .objective import (
 from .selectors import (
     PruneReport,
     SelectorConfig,
-    greedy_sequence,
     resolve_budget,
     run_selection,
     select_by_score,

@@ -16,7 +16,7 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +39,6 @@ from .selectors import (
     METHOD_TABLE,
     METHODS,
     TAU_PRESETS,
-    PruneReport,
     SelectorConfig,
     load_selected,
     requirement_error,
@@ -115,12 +114,16 @@ _sizes = _checked(_int_list, lambda sizes: bool(sizes) and min(sizes) >= 1,
                   "comma-separated integers of at least 1")
 
 
-def _methods(text: str) -> list[str]:
+def _method_list(text: str) -> list[str]:
     names = [tok.strip() for tok in text.split(",") if tok.strip()]
     for name in names:
         if name not in verify_mod.SCALING_METHODS:
             raise argparse.ArgumentTypeError(f"benchmark does not cover {name!r}")
     return names
+
+
+_methods = _checked(_method_list, bool, "comma-separated names from "
+                    + ", ".join(verify_mod.SCALING_METHODS))
 
 
 def _input_digests(paths: dict[str, str | None]) -> dict[str, str]:

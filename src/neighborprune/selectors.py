@@ -5,10 +5,12 @@ confidence: at each step it adds the example with the largest marginal gain
 (own-term by default, exact objective increment as an option), then folds
 the pick's weighted confidence into its neighbors' running totals. A
 class-balanced variant round-robins the same step over per-class pools.
-Lazy evaluation keeps candidates in a max-priority heap with stale-gain
-re-evaluation; because gains only shrink as the selection grows, the lazy
-run provably reproduces the eager selection sequence, ties broken by lowest
-index in both. The remaining selectors are the standard score-, margin-,
+run_selection is the only way to run the greedy, lazy or eager, plain or
+class-balanced, so every run passes its input checks. Lazy evaluation
+keeps candidates in a max-priority heap with stale-gain re-evaluation;
+because gains only shrink as the selection grows, the lazy run provably
+reproduces the eager selection sequence, ties broken by lowest index in
+both. The remaining selectors are the standard score-, margin-,
 distance-, and coverage-based baselines. k-center keeps exact squared
 distances and uses one matrix-vector product per step only to find the
 rows whose distance can drop, so its selections and lowest-index ties are
@@ -238,45 +240,11 @@ def _greedy_core(
             raise RuntimeError("candidate pools exhausted before reaching the budget")
 
 
-def _pools(m: int, labels=None, num_classes: int | None = None) -> list[np.ndarray]:
+def _pools(m: int, labels, num_classes: int | None) -> list[np.ndarray]:
     """One candidate pool of all m examples, or one pool per class of labels."""
     if labels is None:
         return [np.arange(m, dtype=np.int64)]
-    labels = np.asarray(labels, dtype=np.int64)
-    c = int(num_classes) if num_classes else int(labels.max()) + 1
-    return [np.flatnonzero(labels == j).astype(np.int64) for j in range(c)]
-
-
-def greedy_sequence(
-    graph: NeighborGraph,
-    confidence,
-    s: int | float,
-    *,
-    utility: Utility | None = None,
-    gain_mode: str = "paper_faithful",
-    lazy: bool = True,
-    class_labels: np.ndarray | None = None,
-    num_classes: int | None = None,
-) -> list[int]:
-    """Bare greedy selection sequence, without report plumbing.
-
-    With class_labels the step round-robins over per-class candidate pools.
-    """
-    if gain_mode not in GAIN_MODES:
-        raise ValueError(f"unknown gain mode {gain_mode!r}")
-    s = resolve_budget(s, graph.num_rows)
-    pools = _pools(graph.num_rows, class_labels, num_classes)
-    state = _greedy_core(graph, confidence, s, utility or Utility(), gain_mode, lazy, pools)
-    return state.selected
-
-
-def _check_graph_matches(graph: NeighborGraph, config: SelectorConfig, m: int) -> None:
-    if graph.num_rows != m:
-        raise ValueError(f"graph has {graph.num_rows} rows, dataset has {m}")
-    if config.tau is not None and abs(graph.tau - config.tau) > 1e-12:
-        raise ValueError(
-            f"graph was built with tau={graph.tau}, config says {config.tau}"
-        )
+    return [np.flatnonzero(labels == j).astype(np.int64) for j in range(num_classes)]
 
 
 # ---------------------------------------------------------------------------
@@ -333,6 +301,8 @@ def select_kcenter_greedy(
     s = resolve_budget(s, m)
     if first_center is None:
         first_center = int(np.random.default_rng(seed).integers(m))
+    elif not 0 <= first_center < m:
+        raise ValueError(f"first_center must lie in [0, {m}), got {first_center}")
     selected = [int(first_center)]
     # Squared distances: same argmax and same ties as true distances.
     min_sq = np.sum((emb - emb[first_center]) ** 2, axis=1)
@@ -380,7 +350,9 @@ def select_moderate(embeddings: np.ndarray, noisy_labels: np.ndarray, s: int | f
     labels = np.asarray(noisy_labels, dtype=np.int64)
     m = emb.shape[0]
     s = resolve_budget(s, m)
-    c = int(num_classes) if num_classes else int(labels.max()) + 1
+    c = int(num_classes) if num_classes else int(labels.max(initial=0)) + 1
+    if labels.shape != (m,) or labels.min(initial=0) < 0 or labels.max(initial=0) >= c:
+        raise ValueError(f"noisy_labels must be {m} class indices in [0, {c})")
     deviation = np.empty(m, dtype=np.float64)
     for j in range(c):
         members = np.flatnonzero(labels == j)
@@ -464,7 +436,12 @@ def run_selection(
     state = None
     start = time.perf_counter()
     if "graph" in spec.inputs:
-        _check_graph_matches(graph, config, m)
+        if graph.num_rows != m:
+            raise ValueError(f"graph has {graph.num_rows} rows, dataset has {m}")
+        if config.tau is not None and abs(graph.tau - config.tau) > 1e-12:
+            raise ValueError(
+                f"graph was built with tau={graph.tau}, config says {config.tau}"
+            )
         balanced = method == "prune4rel_balanced"
         pools = _pools(m, noisy_labels if balanced else None, num_classes)
         state = _greedy_core(

@@ -18,7 +18,7 @@ import pytest
 from neighborprune.cli import main
 from neighborprune.dataset import save_scores
 from neighborprune.objective import SelectionState, Utility, marginal_gain_paper
-from neighborprune.selectors import greedy_sequence, load_selected
+from neighborprune.selectors import SelectorConfig, load_selected, run_selection
 from neighborprune.similarity import build_graph
 from neighborprune.verify import (
     check_class_balance,
@@ -64,8 +64,8 @@ def test_criterion_03_hand_traced_selection():
     graph = build_graph(emb, 0.5)
     util = Utility("tanh")
 
-    selected = greedy_sequence(graph, conf, 2, utility=util,
-                               gain_mode="paper_faithful")
+    config = SelectorConfig("prune4rel", 2, utility=util, gain_mode="paper_faithful")
+    selected = run_selection(config, confidence=conf, graph=graph).selected
     assert selected == [0, 2]
 
     state = SelectionState(graph, conf)

@@ -622,6 +622,7 @@ BAD_FLAG_VALUES = [
     (["bench", "--tau", "-0.5"], "--tau"),
     (["bench", "--methods", "kcenter_greedy", "--tau", "-0.5"], "--tau"),
     (["bench", "--seed", "-1"], "--seed"),
+    (["bench", "--methods", ","], "--methods"),
     (["verify", "--seed", "-1"], "--seed"),
     (["synth", "--seed", "-1"], "--seed"),
 ]

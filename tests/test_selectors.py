@@ -7,12 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from neighborprune.dataset import compute_confidence
-from neighborprune.objective import Utility
 from neighborprune.selectors import (
-    PruneReport,
     SelectorConfig,
-    greedy_sequence,
     resolve_budget,
     run_selection,
     select_by_score,
@@ -26,6 +22,12 @@ from neighborprune.similarity import build_graph
 TINY_EMB = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 TINY_CONF = np.array([0.9, 0.8, 0.7])
 TINY_LABELS = np.array([0, 0, 1])
+
+
+def greedy(graph, conf, s, **config):
+    """The selection sequence of a prune4rel run_selection on graph and conf."""
+    config = SelectorConfig("prune4rel", s, **config)
+    return run_selection(config, confidence=conf, graph=graph).selected
 
 
 class TestBudget:
@@ -57,9 +59,7 @@ BUDGET_SELECTORS = {
     "margin": lambda s: select_margin(np.full((6, 2), 0.5), s),
     "kcenter_greedy": lambda s: select_kcenter_greedy(np.eye(6), s, seed=0),
     "moderate": lambda s: select_moderate(np.eye(6), [0, 1] * 3, s),
-    "greedy_sequence": lambda s: greedy_sequence(
-        build_graph(np.eye(6), 0.5), np.full(6, 0.5), s
-    ),
+    "prune4rel": lambda s: greedy(build_graph(np.eye(6), 0.5), np.full(6, 0.5), s),
 }
 
 
@@ -84,7 +84,7 @@ class TestSelectorBudgets:
 
         monkeypatch.setattr(selectors_mod, "_greedy_core", refuse)
         with pytest.raises(ValueError, match="exceeds"):
-            BUDGET_SELECTORS["greedy_sequence"](7)
+            BUDGET_SELECTORS["prune4rel"](7)
 
 
 class TestGreedySelection:
@@ -95,12 +95,12 @@ class TestGreedySelection:
             emb = rng.standard_normal((m, 4))
             conf = rng.uniform(0, 1, m)
             graph = build_graph(emb, 0.4)
-            seq = greedy_sequence(graph, conf, 1)
+            seq = greedy(graph, conf, 1)
             assert seq[0] == int(np.argmax(conf))
 
     def test_worked_trace_selects_0_then_2(self):
         graph = build_graph(TINY_EMB, 0.5)
-        seq = greedy_sequence(graph, TINY_CONF, 2)
+        seq = greedy(graph, TINY_CONF, 2)
         assert seq == [0, 2]
 
     def test_tau_one_equals_top_by_confidence(self):
@@ -108,7 +108,7 @@ class TestGreedySelection:
         emb = rng.standard_normal((25, 5))
         conf = rng.uniform(0, 1, 25)
         graph = build_graph(emb, 1.0)
-        seq = greedy_sequence(graph, conf, 10)
+        seq = greedy(graph, conf, 10)
         assert seq == select_by_score(conf, 10, "descending")
 
     def test_lazy_matches_eager_both_modes(self):
@@ -120,8 +120,8 @@ class TestGreedySelection:
             graph = build_graph(emb, float(rng.choice([0.3, 0.7])))
             s = int(rng.integers(1, m + 1))
             for mode in ("paper_faithful", "exact_marginal"):
-                eager = greedy_sequence(graph, conf, s, gain_mode=mode, lazy=False)
-                lazy = greedy_sequence(graph, conf, s, gain_mode=mode, lazy=True)
+                eager = greedy(graph, conf, s, gain_mode=mode, lazy=False)
+                lazy = greedy(graph, conf, s, gain_mode=mode, lazy=True)
                 assert eager == lazy
 
     def test_tie_break_prefers_lowest_index(self):
@@ -129,7 +129,7 @@ class TestGreedySelection:
         conf = np.array([0.6, 0.6, 0.2])
         graph = build_graph(emb, 0.99)
         for lazy in (False, True):
-            assert greedy_sequence(graph, conf, 1, lazy=lazy)[0] == 0
+            assert greedy(graph, conf, 1, lazy=lazy)[0] == 0
 
     def test_permuted_input_selects_same_set(self):
         rng = np.random.default_rng(34)
@@ -137,10 +137,10 @@ class TestGreedySelection:
         emb = rng.standard_normal((m, 5))
         conf = rng.uniform(0, 1, m)
         graph = build_graph(emb, 0.3)
-        base = set(greedy_sequence(graph, conf, 12))
+        base = set(greedy(graph, conf, 12))
         perm = rng.permutation(m)
         graph_p = build_graph(emb[perm], 0.3)
-        seq_p = greedy_sequence(graph_p, conf[perm], 12)
+        seq_p = greedy(graph_p, conf[perm], 12)
         assert {int(perm[k]) for k in seq_p} == base
 
     def test_report_fields(self):
@@ -173,7 +173,7 @@ class TestGreedySelection:
         conf[3] = bad
         graph = build_graph(emb, 0.4)
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            greedy_sequence(graph, conf, 5)
+            greedy(graph, conf, 5)
         config = SelectorConfig(method="prune4rel", budget=5, tau=0.4)
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             run_selection(config, confidence=conf, graph=graph)
@@ -309,6 +309,11 @@ class TestKCenter:
         b = select_kcenter_greedy(emb, 10, seed=5)
         assert a == b
 
+    @pytest.mark.parametrize("first", [-1, 5])
+    def test_first_center_outside_rows_rejected(self, first):
+        with pytest.raises(ValueError, match=r"first_center must lie in \[0, 5\)"):
+            select_kcenter_greedy(np.eye(5), 3, seed=0, first_center=first)
+
 
 def full_scan_kcenter(emb, s, first):
     """k-center with the exact squared distance to every row at every step."""
@@ -407,6 +412,19 @@ class TestModerate:
         with pytest.raises(ValueError, match="class 1"):
             select_moderate(emb, [0, 0, 2], 3, num_classes=3)
 
+    # Each of these would leave some row without a class, and so without a
+    # deviation to rank it by.
+    @pytest.mark.parametrize(
+        "labels, num_classes",
+        [([0, 1], None), ([0, 1, 0, 1, 0, -1], None), ([0, 1, 0, 1, 0, 2], 2),
+         ([[0, 1, 0], [1, 0, 1]], None)],
+        ids=["shorter_than_m", "negative", "at_least_num_classes", "two_dimensional"],
+    )
+    def test_labels_must_be_one_class_per_row(self, labels, num_classes):
+        emb = np.random.default_rng(42).standard_normal((6, 2))
+        with pytest.raises(ValueError, match="noisy_labels must be 6 class indices"):
+            select_moderate(emb, labels, 3, num_classes=num_classes)
+
 
 class TestRunSelection:
     def test_missing_inputs_named(self):
@@ -483,14 +501,20 @@ class TestRunSelection:
         with pytest.raises(ValueError, match="finite"):
             run_selection(config, scores=np.array([0.5, bad, 0.9]))
 
-    def test_balanced_label_out_of_range_rejected(self):
+    # Each of these would leave a class's examples out of the pools, or
+    # have no pool for a label.
+    @pytest.mark.parametrize(
+        "labels", [[0, 1, 0], [0, 3, 1, 0], [0, -1, 1, 0]],
+        ids=["shorter_than_m", "at_least_num_classes", "negative"],
+    )
+    def test_balanced_label_out_of_range_rejected(self, labels):
         emb = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, 0.1]])
         config = SelectorConfig(method="prune4rel_balanced", budget=2, tau=0.5)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"length mismatch|outside \[0, 2\)"):
             run_selection(
                 config,
                 embeddings=emb,
-                noisy_labels=[0, 3, 1, 0],
+                noisy_labels=labels,
                 num_classes=2,
                 confidence=np.array([0.9, 0.8, 0.7, 0.6]),
                 graph=build_graph(emb, 0.5),

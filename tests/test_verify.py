@@ -5,7 +5,6 @@ import pytest
 
 from neighborprune.dataset import compute_confidence
 from neighborprune.objective import SelectionState, Utility, total_objective
-from neighborprune.selectors import greedy_sequence
 from neighborprune.similarity import GuardError, build_graph
 from neighborprune.verify import (
     SynthConfig,
