@@ -7,11 +7,14 @@ the pick's weighted confidence into its neighbors' running totals. A
 class-balanced variant round-robins the same step over per-class pools.
 run_selection is the only way to run the greedy, lazy or eager, plain or
 class-balanced, so every run passes its input checks. Lazy evaluation
-keeps candidates in a max-priority heap with stale-gain re-evaluation;
-because gains only shrink as the selection grows, the lazy run provably
-reproduces the eager selection sequence, ties broken by lowest index in
-both. The remaining selectors are the standard score-, margin-,
-distance-, and coverage-based baselines. k-center keeps exact squared
+keeps candidates in a max-priority heap with stale-gain re-evaluation,
+replayed in batches of array gains. Both loops break ties by lowest index,
+and the lazy run reproduces the eager selection sequence as long as no
+computed gain grows as the selection grows. True gains only shrink, but
+once tanh saturates (nbr_conf near 19, gains near 1e-16) rounding can make
+a computed gain grow by an ulp, and from there the two sequences can part.
+The remaining selectors are the standard score-, margin-, distance-, and
+coverage-based baselines. k-center keeps exact squared
 distances and uses one matrix-vector product per step only to find the
 rows whose distance can drop, so its selections and lowest-index ties are
 those of recomputing every distance, at any BLAS thread count.
@@ -27,6 +30,7 @@ import heapq
 import json
 import time
 from dataclasses import asdict, dataclass, field
+from itertools import repeat
 from numbers import Integral
 from typing import Sequence
 
@@ -193,22 +197,122 @@ def _eager_pick(state, pool, utility, gains_of):
     return int(cands[int(np.argmax(gains))])
 
 
-def _lazy_pick(state, heap, utility, gain_of):
-    stamp = len(state.selected)
-    while heap:
-        neg_gain, x, at = heapq.heappop(heap)
-        if at == stamp:
-            return x
-        fresh = gain_of(state, x, utility)
-        heapq.heappush(heap, (-fresh, x, stamp))
-    return None
+# Entries a lazy pick takes off a pool's heap at once.
+_BATCH = 128
 
 
-def _init_heap(state, pool, utility, gains_of):
-    gains = gains_of(state, pool, utility)
-    heap = [(-float(g), int(x), 0) for g, x in zip(gains, pool)]
-    heapq.heapify(heap)
-    return heap
+@dataclass
+class _PoolHeap:
+    """A pool's heap entries, split at the cut: a batch, kept as a heap of
+    entries all at least the cut when taken, and the rest, a heap of
+    entries all below it."""
+
+    rest: list
+    batch: list = field(default_factory=list)
+    neg_cut: float = 0.0
+    members: np.ndarray | None = None  # the batch's examples
+    cached: dict = field(default_factory=dict)  # member -> its latest gain
+    # Exact mode: the members' neighbor lists, concatenated, and where each
+    # starts.
+    inputs: np.ndarray | None = None
+    starts: np.ndarray | None = None
+    # Exact mode: the members whose cached gain was out of date at
+    # selection size `checked`.
+    stale: set = field(default_factory=set)
+    checked: int = -1
+
+
+class _LazyPools:
+    """The lazy greedy: one max-heap of (-gain, index, stamp) entries per
+    candidate pool, stamp being the selection size the gain was computed
+    at. A pick pops the top entry: a fresh one (stamped with the current
+    size) is the pick, and a stale one goes back with its gain refreshed.
+    (-gain, index) orders the entries totally, so this sequence of pops,
+    refreshes and picks does not depend on how a heap is stored.
+
+    The pops are replayed in batches. A batch is a pool's _BATCH best
+    entries plus every entry tied with the last, whose gain is the cut, and
+    their gains are computed in one array call. Every other entry of the
+    pool is below the cut, so while the batch's top entry is at least the
+    cut, it is the pool's top and the batch replays the pool's own steps.
+    A refresh reads the batch gain while none of its inputs has changed
+    since: nbr_conf[x] in paper mode, nbr_conf over x's neighbors in exact
+    mode. Otherwise it computes the gain again. A pool keeps its batch from
+    one of its turns to the next.
+    """
+
+    def __init__(self, state, pools, utility, gain_mode):
+        self.state = state
+        self.utility = utility
+        self.gain_of, self.gains_of = GAINS[gain_mode]
+        self.exact = gain_mode == "exact_marginal"
+        m = state.graph.num_rows
+        # Selection size when nbr_conf[v] last changed, and when the cached
+        # gain of x was computed (indexed by example: pools are disjoint).
+        self.changed_at = np.full(m, -1, dtype=np.int64)
+        self.cached_at = np.zeros(m, dtype=np.int64)
+        self.pools = []
+        for pool in pools:
+            gains = self.gains_of(state, pool, utility)
+            heap = list(zip((-gains).tolist(), pool.tolist(), repeat(0)))
+            heapq.heapify(heap)
+            self.pools.append(_PoolHeap(heap))
+
+    def pick(self, pi: int) -> int | None:
+        """Pool pi's next pick, which the caller adds; None once it is empty."""
+        p = self.pools[pi]
+        state, changed_at, cached_at = self.state, self.changed_at, self.cached_at
+        now = len(state.selected)
+        batch, cached = p.batch, p.cached
+        while True:
+            if not batch or batch[0][0] > p.neg_cut:
+                self._next_batch(p, now)
+                batch, cached = p.batch, p.cached
+                if not batch:
+                    return None
+            _, x, at = batch[0]
+            if at == now:
+                heapq.heappop(batch)
+                idx, _ = state.graph.neighbors(x)
+                changed_at[idx] = now
+                return x
+            if self.exact:
+                stale = x in self._stale_members(p, now)
+            else:
+                stale = changed_at[x] >= cached_at[x]
+            if stale:
+                cached[x] = self.gain_of(state, x, self.utility)
+                cached_at[x] = now
+            heapq.heapreplace(batch, (-cached[x], x, now))
+
+    def _next_batch(self, p: _PoolHeap, now: int) -> None:
+        rest = p.rest
+        for entry in p.batch:
+            heapq.heappush(rest, entry)
+        batch = [heapq.heappop(rest) for _ in range(min(_BATCH, len(rest)))]
+        while rest and rest[0][0] == batch[-1][0]:
+            batch.append(heapq.heappop(rest))
+        p.batch = batch  # sorted, so a heap
+        if not batch:
+            return
+        p.neg_cut = batch[-1][0]
+        p.members = np.array([x for _, x, _ in batch], dtype=np.intp)
+        gains = self.gains_of(self.state, p.members, self.utility)
+        p.cached = dict(zip(p.members.tolist(), gains.tolist()))
+        self.cached_at[p.members] = now
+        if self.exact:
+            pos, p.starts = self.state.graph.entries(p.members)
+            p.inputs = self.state.graph.indices[pos]
+            p.stale, p.checked = set(), now
+
+    def _stale_members(self, p: _PoolHeap, now: int) -> set:
+        """Exact mode: the members of p's batch whose cached gain is out of
+        date, found for the whole batch once per selection size."""
+        if p.checked != now:
+            last = np.maximum.reduceat(self.changed_at[p.inputs], p.starts)
+            p.stale = set(p.members[last >= self.cached_at[p.members]].tolist())
+            p.checked = now
+        return p.stale
 
 
 def _greedy_core(
@@ -221,13 +325,15 @@ def _greedy_core(
     pools: list[np.ndarray],
 ) -> SelectionState:
     state = SelectionState(graph, confidence)
-    gain_of, gains_of = GAINS[gain_mode]
-    heaps = [_init_heap(state, pool, utility, gains_of) for pool in pools] if lazy else None
+    if lazy:
+        heaps = _LazyPools(state, pools, utility, gain_mode)
+    else:
+        gains_of = GAINS[gain_mode][1]
     while True:
         progressed = False
         for pi, pool in enumerate(pools):
             if lazy:
-                x = _lazy_pick(state, heaps[pi], utility, gain_of)
+                x = heaps.pick(pi)
             else:
                 x = _eager_pick(state, pool, utility, gains_of)
             if x is None:
@@ -403,7 +509,7 @@ def run_selection(
     if noisy_labels is not None:
         noisy_labels = np.asarray(noisy_labels, dtype=np.int64)
         if not num_classes:
-            num_classes = int(noisy_labels.max()) + 1
+            num_classes = int(noisy_labels.max(initial=-1)) + 1
     if ground_truth_labels is not None:
         ground_truth_labels = np.asarray(ground_truth_labels, dtype=np.int64)
     sized = [
@@ -462,14 +568,14 @@ def run_selection(
         selected = select_moderate(embeddings, noisy_labels, s, num_classes)
     selection_s = time.perf_counter() - start
 
-    sel = np.asarray(selected, dtype=np.int64)
     per_class = noise_ratio = None
     if noisy_labels is not None:
+        sel = np.asarray(selected, dtype=np.int64)
         per_class = np.bincount(noisy_labels[sel], minlength=num_classes).tolist()
         if ground_truth_labels is not None:
             noise_ratio = float(np.mean(noisy_labels[sel] != ground_truth_labels[sel]))
     return PruneReport(
-        selected=list(map(int, selected)),
+        selected=selected,
         objective_value=None if state is None else total_objective(state, config.utility),
         per_class_counts=per_class,
         noise_ratio=noise_ratio,

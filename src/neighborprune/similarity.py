@@ -53,6 +53,14 @@ class NeighborGraph:
         lo, hi = self.indptr[i], self.indptr[i + 1]
         return self.indices[lo:hi], self.weights[lo:hi]
 
+    def entries(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Positions in indices/weights of the neighbor lists of rows,
+        concatenated in the order of rows, and where each list starts."""
+        lo = self.indptr[rows]
+        counts = self.indptr[rows + 1] - lo
+        starts = np.cumsum(counts) - counts
+        return np.arange(counts.sum()) + np.repeat(lo - starts, counts), starts
+
     def degrees(self) -> np.ndarray:
         """Per-row neighbor count, self edge included."""
         return np.diff(self.indptr)

@@ -468,7 +468,13 @@ def check_lazy_eager_equivalence(
     instances: int = 100, seed: int = 20240504, m_hi: int = 2000
 ) -> CheckResult:
     """Lazy and eager greedy must produce identical selection sequences for
-    both gain modes."""
+    both gain modes.
+
+    They agree while no computed gain grows as the selection grows. True
+    gains only shrink, but once tanh saturates (nbr_conf near 19), rounding
+    can make a computed gain grow by an ulp, and the lazy heap can then
+    pick differently from the eager scan. These instances stop at s <= 40
+    picks and agree; longer runs on tight clusters need not."""
     rng = np.random.default_rng(seed)
     utility = Utility("tanh")
     mismatches = 0

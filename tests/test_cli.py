@@ -303,6 +303,13 @@ GOLDEN_LOG1P = {
     "prune4rel": ("91cee61f740737cffd32b7b9df12997f", 501.3580201533749),
     "prune4rel_balanced": ("05cc047339a848fb2cd154cf57e86b38", 501.3580201533749),
 }
+# The same greedy runs under --gain-mode exact at --tau 0.9, where tanh
+# saturates (objective within 1e-7 of the 200 examples); lazy and --eager
+# select the same bytes here.
+GOLDEN_EXACT = {
+    "prune4rel": ("71f59bf14bb69baeddee1c433e86df18", 199.99999993290297),
+    "prune4rel_balanced": ("f18519ae9ad1be6cffe0baacca4da672", 199.99999993290297),
+}
 GOLDEN_EXTRA = {
     "prune4rel": ["--tau", "0.9"],
     "prune4rel_balanced": ["--tau", "0.9"],
@@ -357,6 +364,24 @@ class TestGolden:
         ).hexdigest()
         report = json.loads((out / "report.json").read_text())
         assert (digest, report["objective_value"]) == GOLDEN_LOG1P[method]
+
+    @pytest.mark.parametrize("loop", ["lazy", "eager"])
+    @pytest.mark.parametrize("method", sorted(GOLDEN_EXACT))
+    def test_exact_gain_selected_bytes_and_objective(
+        self, golden_dir, tmp_path, method, loop
+    ):
+        out = tmp_path / "run"
+        code = run_prune(
+            golden_dir / "data", out, "--method", method, "--ratio", "0.3",
+            "--seed", "13", "--tau", "0.9", "--gain-mode", "exact",
+            *(["--eager"] if loop == "eager" else []),
+        )
+        assert code == 0
+        digest = hashlib.blake2b(
+            (out / "selected.txt").read_bytes(), digest_size=16
+        ).hexdigest()
+        report = json.loads((out / "report.json").read_text())
+        assert (digest, report["objective_value"]) == GOLDEN_EXACT[method]
 
 
 # (method, flags beyond --embeddings/--ratio/--out, flag the error must name)

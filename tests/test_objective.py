@@ -211,13 +211,30 @@ class TestMarginalGains:
 
     def test_gain_vector_matches_scalar_gains(self):
         rng = np.random.default_rng(25)
-        emb = rng.standard_normal((30, 4))
-        conf = rng.uniform(0, 1, 30)
-        graph = build_graph(emb, 0.4)
-        util = Utility("tanh")
-        state = state_with(graph, conf, [3, 7, 11])
-        cands = np.flatnonzero(~state.in_set)
-        for gain_of, gains_of in GAINS.values():
-            vector = gains_of(state, cands, util)
-            for x, gain in zip(cands.tolist(), vector.tolist()):
-                assert gain == gain_of(state, x, util)
+        small = build_graph(rng.standard_normal((30, 4)), 0.4)
+        # Two near-duplicate clusters of 300 rows, one tighter than the other,
+        # plus scattered rows: degrees from 1 to about 300 cross numpy's
+        # 8-wide and 128-element blocks of pairwise summation, which the
+        # array gain must reproduce row by row.
+        centers = rng.standard_normal((2, 8))
+        spreads = [np.linspace(0.0, top, 300)[:, None] for top in (0.4, 0.8)]
+        emb = np.vstack([
+            centers[0] + spreads[0] * rng.standard_normal((300, 8)),
+            centers[1] + spreads[1] * rng.standard_normal((300, 8)),
+            rng.standard_normal((40, 8)),
+        ])
+        clustered = build_graph(emb, 0.9)
+        degrees = clustered.degrees()
+        for edge in (8, 128, 256):
+            assert degrees.min() < edge < degrees.max()
+        assert np.unique(degrees).size > 100
+        for graph, picks in ((small, [3, 7, 11]), (clustered, range(0, 640, 37))):
+            conf = rng.uniform(0, 1, graph.num_rows)
+            state = state_with(graph, conf, picks)
+            cands = np.flatnonzero(~state.in_set)
+            for kind in ("tanh", "identity", "log1p"):
+                util = Utility(kind)
+                for gain_of, gains_of in GAINS.values():
+                    vector = gains_of(state, cands, util)
+                    for x, gain in zip(cands.tolist(), vector.tolist()):
+                        assert gain == gain_of(state, x, util)

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from neighborprune.objective import Utility
 from neighborprune.selectors import (
     SelectorConfig,
     resolve_budget,
@@ -19,15 +20,21 @@ from neighborprune.selectors import (
 )
 from neighborprune.similarity import build_graph
 
+from greedy_reference import heap_greedy
+
 TINY_EMB = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 TINY_CONF = np.array([0.9, 0.8, 0.7])
 TINY_LABELS = np.array([0, 0, 1])
 
 
-def greedy(graph, conf, s, **config):
-    """The selection sequence of a prune4rel run_selection on graph and conf."""
-    config = SelectorConfig("prune4rel", s, **config)
-    return run_selection(config, confidence=conf, graph=graph).selected
+def greedy(graph, conf, s, labels=None, **config):
+    """The selection sequence of a prune4rel run_selection on graph and conf,
+    or of prune4rel_balanced when labels are given."""
+    method = "prune4rel" if labels is None else "prune4rel_balanced"
+    config = SelectorConfig(method, s, **config)
+    return run_selection(
+        config, noisy_labels=labels, confidence=conf, graph=graph
+    ).selected
 
 
 class TestBudget:
@@ -185,6 +192,66 @@ class TestGreedySelection:
             run_selection(
                 config, noisy_labels=TINY_LABELS, confidence=TINY_CONF, graph=graph
             )
+
+
+def saturating_instance(seed):
+    """m = 240 rows in two tight clusters of 120, tau = 0.8, s = 200: each
+    example gathers enough confidence for tanh to saturate, so a computed
+    gain can grow by an ulp as the selection grows."""
+    rng = np.random.default_rng(seed)
+    noise = rng.choice([0.02, 0.05, 0.1])
+    centers = rng.standard_normal((2, 8))
+    emb = np.repeat(centers, 120, axis=0) + noise * rng.standard_normal((240, 8))
+    conf = rng.uniform(0.02, 0.5, 240)
+    return build_graph(emb, 0.8), conf
+
+
+GAIN_MODES = ("paper_faithful", "exact_marginal")
+
+
+def heap_picks(graph, conf, s, gain_mode, labels=None, utility=Utility()):
+    """The reference heap's sequence, with one pool per label when labels
+    are given."""
+    pools = (
+        [np.arange(graph.num_rows)] if labels is None
+        else [np.flatnonzero(labels == j) for j in range(int(labels.max()) + 1)]
+    )
+    return heap_greedy(graph, conf, s, gain_mode, pools, utility)
+
+
+class TestLazyHeapReplay:
+    """The batched lazy loop replays the one-entry-at-a-time heap pick for
+    pick, also where it differs from the eager scan."""
+
+    @pytest.mark.parametrize("mode", GAIN_MODES)
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_saturating_instances_match_the_heap(self, seed, mode):
+        graph, conf = saturating_instance(seed)
+        for labels in (None, np.arange(240) % 2):
+            reference = heap_picks(graph, conf, 200, mode, labels)
+            assert greedy(graph, conf, 200, labels, gain_mode=mode) == reference
+            # Saturation makes the heap part from the eager scan here.
+            eager = greedy(graph, conf, 200, labels, gain_mode=mode, lazy=False)
+            assert eager != reference
+
+    @pytest.mark.parametrize("mode", GAIN_MODES)
+    def test_random_instances_match_the_heap(self, mode):
+        rng = np.random.default_rng(39)
+        for _ in range(12):
+            m = int(rng.integers(20, 600))
+            emb = rng.standard_normal((m, 8))
+            if rng.random() < 0.5:  # duplicate rows and tied confidences
+                emb = emb[rng.integers(0, m // 2, m)]
+                conf = rng.choice([0.25, 0.5, 1.0], m)
+            else:
+                conf = rng.uniform(0, 1, m)
+            graph = build_graph(emb, float(rng.choice([0.0, 0.3, 0.6, 0.9])))
+            s = int(rng.integers(1, m + 1))
+            classes = int(rng.integers(2, 5))
+            utility = Utility(str(rng.choice(["tanh", "identity", "log1p"])))
+            for labels in (None, rng.integers(0, classes, m)):
+                got = greedy(graph, conf, s, labels, gain_mode=mode, utility=utility)
+                assert got == heap_picks(graph, conf, s, mode, labels, utility)
 
 
 class TestBalancedSelection:
@@ -519,6 +586,11 @@ class TestRunSelection:
                 confidence=np.array([0.9, 0.8, 0.7, 0.6]),
                 graph=build_graph(emb, 0.5),
             )
+
+    def test_empty_labels_are_a_length_mismatch(self):
+        config = SelectorConfig(method="uniform", budget=1)
+        with pytest.raises(ValueError, match="length mismatch: 0 != 3"):
+            run_selection(config, noisy_labels=[], embeddings=np.eye(3))
 
     def test_uniform_full_ratio(self):
         config = SelectorConfig(method="uniform", budget=1.0)
