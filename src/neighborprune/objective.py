@@ -97,19 +97,6 @@ class SelectionState:
         self.in_set[x] = True
         self.selected.append(x)
 
-    def recomputed_nbr_conf(self) -> np.ndarray:
-        """From-scratch evaluation of the running vector.
-
-        Gathers along rows (sum over each example's selected neighbors)
-        rather than scattering per addition, so it is an independent check
-        of the incremental bookkeeping.
-        """
-        picked = self.in_set[self.graph.indices]
-        contrib = np.where(
-            picked, self.graph.weights * self.conf[self.graph.indices], 0.0
-        )
-        return np.add.reduceat(contrib, self.graph.indptr[:-1])
-
 
 def total_objective(state: SelectionState, utility: Utility) -> float:
     """Sum of utility(nbr_conf[i]) over the whole training set."""

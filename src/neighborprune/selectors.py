@@ -155,6 +155,7 @@ class PruneReport:
     noise_ratio: float | None
     timings: dict[str, float]
     config: dict
+    graph: dict | None  # edges and block pairs of the graph read, if any
 
     def report_dict(self) -> dict:
         return {
@@ -167,6 +168,7 @@ class PruneReport:
                 "selection_s": self.timings.get("selection_s", 0.0),
             },
             "config": self.config,
+            "graph": self.graph,
         }
 
     def to_json(self) -> str:
@@ -581,4 +583,7 @@ def run_selection(
         noise_ratio=noise_ratio,
         timings={"graph_build_s": float(graph_build_s), "selection_s": float(selection_s)},
         config=config.as_dict(),
+        graph=None if state is None else dict(
+            edges=graph.num_edges, block_pairs=graph.block_pairs,
+            block_pairs_skipped=graph.block_pairs_skipped),
     )

@@ -338,7 +338,7 @@ class TestGolden:
         assert (digest, report["objective_value"]) == GOLDEN[method]
         assert list(report) == [
             "selected_count", "objective_value", "per_class_counts",
-            "noise_ratio", "timings", "config",
+            "noise_ratio", "timings", "config", "graph",
         ]
         assert list(report["config"]) == [
             "method", "budget", "tau", "utility", "gain_mode", "lazy", "seed",

@@ -12,6 +12,8 @@ from neighborprune.objective import (
 from neighborprune.selectors import GAINS
 from neighborprune.similarity import build_graph
 
+from invariants import recomputed_nbr_conf
+
 TINY_EMB = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 TINY_CONF = np.array([0.9, 0.8, 0.7])
 
@@ -101,7 +103,7 @@ class TestSelectionState:
             order = rng.permutation(m)[: int(rng.integers(1, m + 1))]
             state = state_with(graph, conf, order.tolist())
             np.testing.assert_allclose(
-                state.nbr_conf, state.recomputed_nbr_conf(), atol=1e-6
+                state.nbr_conf, recomputed_nbr_conf(state), atol=1e-6
             )
 
     def test_nbr_conf_componentwise_nondecreasing(self):

@@ -511,6 +511,7 @@ class TestRunSelection:
             config, probabilities=probs, noisy_labels=np.array([0, 1, 0])
         )
         assert report.selected == [0]
+        assert report.report_dict()["graph"] is None
 
     def test_report_json_contract(self):
         graph = build_graph(TINY_EMB, 0.5)
@@ -527,8 +528,14 @@ class TestRunSelection:
             "noise_ratio",
             "timings",
             "config",
+            "graph",
         ]
         assert list(payload["timings"]) == ["graph_build_s", "selection_s"]
+        assert payload["graph"] == {
+            "edges": graph.indices.size,
+            "block_pairs": 1,
+            "block_pairs_skipped": 0,
+        }
         assert payload["selected_count"] == 2
         assert payload["config"] == {
             "method": "prune4rel",

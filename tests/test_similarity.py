@@ -1,10 +1,13 @@
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
 
 from neighborprune import similarity
 from neighborprune.similarity import GuardError, build_graph
+
+from invariants import validate_graph
 
 
 def edge_set(graph):
@@ -34,7 +37,7 @@ class TestBuildGraph:
         idx2, w2 = graph.neighbors(2)
         np.testing.assert_array_equal(idx2, [2])
         np.testing.assert_allclose(w2, [1.0])
-        graph.validate()
+        validate_graph(graph)
 
     def test_tau_one_keeps_only_duplicates(self):
         emb = np.array([[1.0, 0.0], [2.0, 0.0], [0.0, 1.0], [0.3, 0.7]])
@@ -113,7 +116,7 @@ class TestBuildGraph:
         rng = np.random.default_rng(10)
         emb = rng.standard_normal((130, 6))
         graph = build_graph(emb, 0.25, block_size=32)
-        graph.validate()
+        validate_graph(graph)
 
     def test_weights_match_direct_cosine(self):
         rng = np.random.default_rng(12)
@@ -142,7 +145,7 @@ class TestPinnedEdgeCases:
         # Weights below zero are kept; the product is never clipped from below.
         emb = np.random.default_rng(3).standard_normal((300, 4))
         graph = build_graph(emb, -0.5, block_size=64)
-        graph.validate()
+        validate_graph(graph)
         assert graph.weights.min() < 0.0
         assert graph_digest(graph) == "94f36f5be410da301b61169eac62df99"
 
@@ -155,22 +158,112 @@ class TestPinnedEdgeCases:
         assert np.count_nonzero(sims > 1.0)  # the input does exercise the clip
         graph = build_graph(emb, 0.2)
         assert graph.weights.max() <= 1.0
-        graph.validate()  # symmetric weights, self edges 1.0
+        validate_graph(graph)  # symmetric weights, self edges 1.0
         assert graph_digest(graph) == "a0a4ec1fa754181e0e9479075ea2dcbd"
 
     def test_rows_not_a_multiple_of_block_size(self):
         emb = np.random.default_rng(6).standard_normal((250, 6))
         graph = build_graph(emb, 0.3, block_size=64)
-        graph.validate()
+        validate_graph(graph)
         assert graph_digest(graph) == "3fbb9f239d8076dd5721961cf15a670c"
 
     def test_fewer_rows_than_one_block(self):
         emb = np.random.default_rng(9).standard_normal((50, 6))
         graph = build_graph(emb, 0.3)
-        graph.validate()
+        validate_graph(graph)
         assert graph_digest(graph) == "4808c00bd0a61265eb53cd468c0a4ed7"
 
     def test_one_row(self):
         graph = build_graph(np.array([[3.0, 4.0]]), 0.5)
-        graph.validate()
+        validate_graph(graph)
         assert graph_digest(graph) == "1287ab8b1c8b0f58df1630ce6d310d6e"
+
+
+def counted_pair_edges(monkeypatch):
+    """Record the arguments of every _pair_edges call of the builds that follow."""
+    calls = []
+    pair_edges = similarity._pair_edges
+
+    def counted(*args):
+        calls.append(args)
+        return pair_edges(*args)
+
+    monkeypatch.setattr(similarity, "_pair_edges", counted)
+    return calls
+
+
+def block_pairs(m, block_size):
+    blocks = [(lo, min(lo + block_size, m)) for lo in range(0, m, block_size)]
+    return [(a, b) for i, a in enumerate(blocks) for b in blocks[i:]]
+
+
+class TestSkippedBlockPairs:
+    """The angle bound skips only block pairs whose product holds no edge."""
+
+    def test_near_threshold_great_circle(self, monkeypatch):
+        # Blocks of 4 rows on the unit circle, each spanning 0.05 rad, so the
+        # bound between neighbouring blocks is exactly their angular gap. The
+        # gaps sit 1e-9 rad either side of arccos(tau), where the bound is
+        # tight, or 1e-3 rad beyond it.
+        tau = 0.95
+        theta = np.arccos(tau)
+        gaps = [theta - 1e-9, theta + 1e-9, theta + 1e-3, theta - 1e-9, theta + 1e-9]
+        starts = np.concatenate([[0.0], np.cumsum(0.05 + np.array(gaps))])
+        angles = (starts[:, None] + np.linspace(0.0, 0.05, 4)).ravel()
+        emb = np.column_stack([np.cos(angles), np.sin(angles)])
+        m = emb.shape[0]
+        calls = counted_pair_edges(monkeypatch)
+        graph = build_graph(emb, tau, block_size=4)
+        computed = {(a, b) for _, _, a, b in calls}
+        skipped = [pair for pair in block_pairs(m, 4) if pair not in computed]
+        assert len(skipped) == graph.block_pairs_skipped > 0
+        # Neighbouring blocks 1e-9 rad either side of arccos(tau) are
+        # computed; the pair 1e-3 rad beyond it is skipped.
+        adjacent = [((4 * k, 4 * k + 4), (4 * k + 4, 4 * k + 8)) for k in range(5)]
+        assert [pair in computed for pair in adjacent] == [True, True, False, True, True]
+        normalized = calls[0][0]
+        for a, b in skipped:
+            rows, _, _ = similarity._pair_edges(normalized, tau, a, b)
+            assert rows.size == 0, (a, b)
+        # Brute-force all-pairs reference.
+        sims = normalized @ normalized.T
+        np.fill_diagonal(sims, 1.0)
+        rows, cols = np.nonzero(sims >= tau)
+        np.testing.assert_array_equal(graph.indptr, np.r_[0, np.cumsum(np.bincount(rows, minlength=m))])
+        np.testing.assert_array_equal(graph.indices, cols)
+        np.testing.assert_allclose(graph.weights, np.minimum(sims[rows, cols], 1.0), rtol=0, atol=1e-12)
+        # The gaps just under arccos(tau) do hold edges.
+        assert graph.neighbors(3)[0].tolist() == [0, 1, 2, 3, 4]
+        validate_graph(graph)
+
+    def test_class_ordered_synthetic_bytes_are_pinned(self, monkeypatch):
+        # synth writes rows grouped by class, so most of the 78 pairs of
+        # 256-row blocks are skipped; the digest was recorded by the build
+        # that computed every pair.
+        from neighborprune.verify import TREND_SYNTH, TREND_TAU, SynthConfig, generate_synthetic
+
+        config = SynthConfig(seed=7, **(TREND_SYNTH | {"points_per_class": 300}))
+        emb = generate_synthetic(config).embeddings
+        calls = counted_pair_edges(monkeypatch)
+        graph = build_graph(emb, TREND_TAU, block_size=256)
+        assert graph_digest(graph) == "78cbbaff9c2aae379af3b90e10e1ad6c"
+        assert graph.block_pairs == len(block_pairs(emb.shape[0], 256)) == 78
+        assert len(calls) == 78 - graph.block_pairs_skipped < 78
+
+    def test_zero_sum_block_is_never_skipped(self, monkeypatch):
+        # Block (0, 2) holds x and -x: its centroid is undefined, so no pair
+        # with it may be skipped, and no division or invalid-value warning
+        # may be raised on the way.
+        emb = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.01, 1.0], [0.0, -1.0], [0.01, -1.0]])
+        calls = counted_pair_edges(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            graph = build_graph(emb, 0.9, block_size=2)
+        computed = {(a, b) for _, _, a, b in calls}
+        assert {((0, 2), (2, 4)), ((0, 2), (4, 6))} <= computed
+        assert ((2, 4), (4, 6)) not in computed
+        assert graph.block_pairs_skipped == 1
+        validate_graph(graph)
+        assert [graph.neighbors(i)[0].tolist() for i in range(6)] == [
+            [0], [1], [2, 3], [2, 3], [4, 5], [4, 5],
+        ]
