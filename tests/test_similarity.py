@@ -6,6 +6,7 @@ import pytest
 
 from neighborprune import similarity
 from neighborprune.similarity import GuardError, build_graph
+from neighborprune.verify import TREND_SYNTH, TREND_TAU, SynthConfig, generate_synthetic
 
 from invariants import validate_graph
 
@@ -220,7 +221,7 @@ class TestSkippedBlockPairs:
         # Neighbouring blocks 1e-9 rad either side of arccos(tau) are
         # computed; the pair 1e-3 rad beyond it is skipped.
         adjacent = [((4 * k, 4 * k + 4), (4 * k + 4, 4 * k + 8)) for k in range(5)]
-        assert [pair in computed for pair in adjacent] == [True, True, False, True, True]
+        assert [p in computed for p in adjacent] == [True, True, False, True, True]
         normalized = calls[0][0]
         for a, b in skipped:
             rows, _, _ = similarity._pair_edges(normalized, tau, a, b)
@@ -229,9 +230,12 @@ class TestSkippedBlockPairs:
         sims = normalized @ normalized.T
         np.fill_diagonal(sims, 1.0)
         rows, cols = np.nonzero(sims >= tau)
-        np.testing.assert_array_equal(graph.indptr, np.r_[0, np.cumsum(np.bincount(rows, minlength=m))])
+        degrees = np.bincount(rows, minlength=m)
+        np.testing.assert_array_equal(graph.indptr, np.r_[0, np.cumsum(degrees)])
         np.testing.assert_array_equal(graph.indices, cols)
-        np.testing.assert_allclose(graph.weights, np.minimum(sims[rows, cols], 1.0), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(
+            graph.weights, np.minimum(sims[rows, cols], 1.0), rtol=0, atol=1e-12
+        )
         # The gaps just under arccos(tau) do hold edges.
         assert graph.neighbors(3)[0].tolist() == [0, 1, 2, 3, 4]
         validate_graph(graph)
@@ -240,8 +244,6 @@ class TestSkippedBlockPairs:
         # synth writes rows grouped by class, so most of the 78 pairs of
         # 256-row blocks are skipped; the digest was recorded by the build
         # that computed every pair.
-        from neighborprune.verify import TREND_SYNTH, TREND_TAU, SynthConfig, generate_synthetic
-
         config = SynthConfig(seed=7, **(TREND_SYNTH | {"points_per_class": 300}))
         emb = generate_synthetic(config).embeddings
         calls = counted_pair_edges(monkeypatch)
@@ -254,7 +256,9 @@ class TestSkippedBlockPairs:
         # Block (0, 2) holds x and -x: its centroid is undefined, so no pair
         # with it may be skipped, and no division or invalid-value warning
         # may be raised on the way.
-        emb = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.01, 1.0], [0.0, -1.0], [0.01, -1.0]])
+        emb = np.array(
+            [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.01, 1.0], [0.0, -1.0], [0.01, -1.0]]
+        )
         calls = counted_pair_edges(monkeypatch)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
