@@ -6,18 +6,21 @@ confidence: at each step it adds the example with the largest marginal gain
 the pick's weighted confidence into its neighbors' running totals. A
 class-balanced variant round-robins the same step over per-class pools.
 run_selection is the only way to run the greedy, lazy or eager, plain or
-class-balanced, so every run passes its input checks. Lazy evaluation
-keeps candidates in a max-priority heap with stale-gain re-evaluation,
-replayed in batches of array gains. Both loops break ties by lowest index,
-and the lazy run reproduces the eager selection sequence as long as no
-computed gain grows as the selection grows. True gains only shrink, but
-once tanh saturates (nbr_conf near 19, gains near 1e-16) rounding can make
-a computed gain grow by an ulp, and from there the two sequences can part.
-The remaining selectors are the standard score-, margin-, distance-, and
-coverage-based baselines. k-center keeps exact squared
-distances and uses one matrix-vector product per step only to find the
-rows whose distance can drop, so its selections and lowest-index ties are
-those of recomputing every distance, at any BLAS thread count.
+class-balanced, so every run passes its input checks. Lazy evaluation keeps
+candidates in a max-priority heap, replayed in batches of array gains, and
+recomputes a kept gain only once a pick marks it stale: a pick marks the
+examples one hop out in the graph for paper gains, two hops for exact ones.
+A gain recomputed from unchanged inputs is bit-identical, so marking more
+costs work, never a pick. Both loops break ties by lowest index, and the
+lazy run reproduces the eager selection sequence as long as no computed gain
+grows as the selection grows. True gains only shrink, but once tanh
+saturates (nbr_conf near 19, gains near 1e-16) rounding can make a computed
+gain grow by an ulp, and from there the two sequences can part. The
+remaining selectors are the standard score-, margin-, distance-, and
+coverage-based baselines. k-center keeps exact squared distances and uses
+one matrix-vector product per step only to find the rows whose distance can
+drop, so its selections and lowest-index ties are those of recomputing every
+distance, at any BLAS thread count.
 
 Every selector reads its budget with resolve_budget, as run_selection does:
 an int is the subset size s, a float is a ratio of the m examples, and
@@ -212,16 +215,7 @@ class _PoolHeap:
     rest: list
     batch: list = field(default_factory=list)
     neg_cut: float = 0.0
-    members: np.ndarray | None = None  # the batch's examples
     cached: dict = field(default_factory=dict)  # member -> its latest gain
-    # Exact mode: the members' neighbor lists, concatenated, and where each
-    # starts.
-    inputs: np.ndarray | None = None
-    starts: np.ndarray | None = None
-    # Exact mode: the members whose cached gain was out of date at
-    # selection size `checked`.
-    stale: set = field(default_factory=set)
-    checked: int = -1
 
 
 class _LazyPools:
@@ -237,22 +231,24 @@ class _LazyPools:
     their gains are computed in one array call. Every other entry of the
     pool is below the cut, so while the batch's top entry is at least the
     cut, it is the pool's top and the batch replays the pool's own steps.
-    A refresh reads the batch gain while none of its inputs has changed
-    since: nbr_conf[x] in paper mode, nbr_conf over x's neighbors in exact
-    mode. Otherwise it computes the gain again. A pool keeps its batch from
-    one of its turns to the next.
+    A pool keeps its batch from one of its turns to the next.
+
+    A refresh reads the kept gain while current[x] holds and computes it
+    again otherwise. Computing x's gain sets current[x], and a pick clears
+    it over every example whose gain reads an nbr_conf the pick changed:
+    the pick's neighbors in paper mode (x's gain reads nbr_conf[x]), their
+    neighbors too in exact mode (it reads nbr_conf over x's neighbors, and
+    the graph is symmetric). A gain recomputed from unchanged inputs is
+    bit-identical to the kept one, so clearing more costs work, never a pick.
     """
 
     def __init__(self, state, pools, utility, gain_mode):
         self.state = state
         self.utility = utility
         self.gain_of, self.gains_of = GAINS[gain_mode]
-        self.exact = gain_mode == "exact_marginal"
-        m = state.graph.num_rows
-        # Selection size when nbr_conf[v] last changed, and when the cached
-        # gain of x was computed (indexed by example: pools are disjoint).
-        self.changed_at = np.full(m, -1, dtype=np.int64)
-        self.cached_at = np.zeros(m, dtype=np.int64)
+        self.two_hops = gain_mode == "exact_marginal"
+        # current[x]: x's kept gain is up to date (pools are disjoint).
+        self.current = np.zeros(state.graph.num_rows, dtype=np.bool_)
         self.pools = []
         for pool in pools:
             gains = self.gains_of(state, pool, utility)
@@ -263,31 +259,29 @@ class _LazyPools:
     def pick(self, pi: int) -> int | None:
         """Pool pi's next pick, which the caller adds; None once it is empty."""
         p = self.pools[pi]
-        state, changed_at, cached_at = self.state, self.changed_at, self.cached_at
+        state, current = self.state, self.current
         now = len(state.selected)
         batch, cached = p.batch, p.cached
         while True:
             if not batch or batch[0][0] > p.neg_cut:
-                self._next_batch(p, now)
+                self._next_batch(p)
                 batch, cached = p.batch, p.cached
                 if not batch:
                     return None
             _, x, at = batch[0]
             if at == now:
                 heapq.heappop(batch)
-                idx, _ = state.graph.neighbors(x)
-                changed_at[idx] = now
+                reach, _ = state.graph.neighbors(x)
+                if self.two_hops:
+                    reach = state.graph.indices[state.graph.entries(reach)[0]]
+                current[reach] = False
                 return x
-            if self.exact:
-                stale = x in self._stale_members(p, now)
-            else:
-                stale = changed_at[x] >= cached_at[x]
-            if stale:
+            if not current[x]:
                 cached[x] = self.gain_of(state, x, self.utility)
-                cached_at[x] = now
+                current[x] = True
             heapq.heapreplace(batch, (-cached[x], x, now))
 
-    def _next_batch(self, p: _PoolHeap, now: int) -> None:
+    def _next_batch(self, p: _PoolHeap) -> None:
         rest = p.rest
         for entry in p.batch:
             heapq.heappush(rest, entry)
@@ -298,23 +292,10 @@ class _LazyPools:
         if not batch:
             return
         p.neg_cut = batch[-1][0]
-        p.members = np.array([x for _, x, _ in batch], dtype=np.intp)
-        gains = self.gains_of(self.state, p.members, self.utility)
-        p.cached = dict(zip(p.members.tolist(), gains.tolist()))
-        self.cached_at[p.members] = now
-        if self.exact:
-            pos, p.starts = self.state.graph.entries(p.members)
-            p.inputs = self.state.graph.indices[pos]
-            p.stale, p.checked = set(), now
-
-    def _stale_members(self, p: _PoolHeap, now: int) -> set:
-        """Exact mode: the members of p's batch whose cached gain is out of
-        date, found for the whole batch once per selection size."""
-        if p.checked != now:
-            last = np.maximum.reduceat(self.changed_at[p.inputs], p.starts)
-            p.stale = set(p.members[last >= self.cached_at[p.members]].tolist())
-            p.checked = now
-        return p.stale
+        members = np.array([x for _, x, _ in batch], dtype=np.intp)
+        gains = self.gains_of(self.state, members, self.utility)
+        p.cached = dict(zip(members.tolist(), gains.tolist()))
+        self.current[members] = True
 
 
 def _greedy_core(
@@ -334,10 +315,7 @@ def _greedy_core(
     while True:
         progressed = False
         for pi, pool in enumerate(pools):
-            if lazy:
-                x = heaps.pick(pi)
-            else:
-                x = _eager_pick(state, pool, utility, gains_of)
+            x = heaps.pick(pi) if lazy else _eager_pick(state, pool, utility, gains_of)
             if x is None:
                 continue
             state.add(x)

@@ -128,14 +128,14 @@ def build_graph(
     """Build the exact all-pairs thresholded graph.
 
     Args:
-        embeddings: m x d matrix; every row must have nonzero norm.
+        embeddings: m x d matrix; every row's norm must be positive and finite.
         tau: similarity threshold in (-1, 1].
         block_size: rows per block for the pairwise products.
         edge_cap: abort with GuardError once the stored-entry count would
             exceed this bound.
 
     Raises:
-        ValueError: zero-norm row (reported with its index) or bad tau.
+        ValueError: a row whose norm is not positive and finite, or bad tau.
         GuardError: the thresholded graph would exceed edge_cap entries.
     """
     if not -1.0 < tau <= 1.0:
@@ -144,10 +144,11 @@ def build_graph(
     if emb.ndim != 2 or emb.shape[0] < 1:
         raise ValueError(f"embeddings must be a nonempty 2-d matrix, got {emb.shape}")
     m = emb.shape[0]
-    norms = np.linalg.norm(emb, axis=1)
-    zero = np.flatnonzero(norms == 0.0)
-    if zero.size:
-        raise ValueError(f"embedding row {int(zero[0])} has zero norm")
+    with np.errstate(over="ignore"):  # an overflowing norm is refused below
+        norms = np.linalg.norm(emb, axis=1)
+    bad = np.flatnonzero(~((norms > 0.0) & (norms < np.inf)))  # NaN fails both
+    if bad.size:
+        raise ValueError(f"embedding row {bad[0]} has a zero or non-finite norm")
     normalized = emb / norms[:, None]
     index_dtype = np.int32 if m < 2**31 else np.int64
 

@@ -238,6 +238,22 @@ class TestPrune:
         assert code == 3
         assert "E_FORMAT" in capsys.readouterr().err
 
+    def test_overflowing_embedding_row_is_format_error(self, tmp_path, capsys):
+        # Row 0's norm overflows to inf; row 0 is parallel to row 1, so
+        # building without it would silently drop its edges.
+        emb, conf = tmp_path / "emb.csv", tmp_path / "conf.txt"
+        emb.write_text("1e200,1e200\n1,1\n1,0.99\n")
+        save_scores(conf, [0.5, 0.6, 0.7])
+        code = main(
+            ["prune", "--embeddings", str(emb), "--embeddings-format", "csv",
+             "--method", "prune4rel", "--tau", "0.9", "--confidence-metric",
+             "external", "--confidence-file", str(conf), "--size", "2",
+             "--out", str(tmp_path / "run")]
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("E_FORMAT:") and "embedding row 0" in err
+
     def test_edge_cap_is_guard_error(self, synth_dir, tmp_path, capsys):
         code = run_prune(
             synth_dir, tmp_path / "run", "--method", "prune4rel",

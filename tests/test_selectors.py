@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from neighborprune import selectors
 from neighborprune.objective import Utility
 from neighborprune.selectors import (
     SelectorConfig,
@@ -252,6 +253,50 @@ class TestLazyHeapReplay:
             for labels in (None, rng.integers(0, classes, m)):
                 got = greedy(graph, conf, s, labels, gain_mode=mode, utility=utility)
                 assert got == heap_picks(graph, conf, s, mode, labels, utility)
+
+    # Gain calls (one-candidate, array) of the lazy loop, with one pool and
+    # with class pools, recomputing only gains whose inputs changed. Marking
+    # too many gains stale would keep the picks and lose the cache; only
+    # these counts show that.
+    GAIN_CALLS = {
+        ("paper_faithful", 0): ((3939, 54), (5529, 28)),
+        ("paper_faithful", 1): ((3677, 54), (5534, 26)),
+        ("paper_faithful", 2): ((4063, 55), (6092, 27)),
+        ("paper_faithful", "dup"): ((2629, 29), (3382, 24)),
+        ("exact_marginal", 0): ((3818, 56), (5934, 30)),
+        ("exact_marginal", 1): ((3706, 55), (5836, 28)),
+        ("exact_marginal", 2): ((3676, 58), (5843, 29)),
+        ("exact_marginal", "dup"): ((9895, 95), (9330, 58)),
+    }
+
+    @pytest.mark.parametrize("mode", GAIN_MODES)
+    @pytest.mark.parametrize("instance", [0, 1, 2, "dup"])
+    def test_gain_calls_are_pinned(self, monkeypatch, instance, mode):
+        if instance == "dup":  # 400 rows drawn from 200 distinct ones
+            rng = np.random.default_rng(7)
+            emb = rng.standard_normal((200, 8))[rng.integers(0, 200, 400)]
+            conf = rng.choice([0.25, 0.5, 1.0], 400)
+            graph, s, labels = build_graph(emb, 0.3), 300, rng.integers(0, 3, 400)
+        else:
+            graph, conf = saturating_instance(instance)
+            s, labels = 200, np.arange(240) % 2
+        one, many = selectors.GAINS[mode]
+        calls = [0, 0]
+
+        def counted(k, gain):
+            def call(*args):
+                calls[k] += 1
+                return gain(*args)
+            return call
+
+        monkeypatch.setitem(selectors.GAINS, mode, (counted(0, one), counted(1, many)))
+        got = []
+        for pools in (None, labels):
+            calls[:] = [0, 0]
+            picks = greedy(graph, conf, s, pools, gain_mode=mode)
+            got.append(tuple(calls))
+            assert picks == heap_picks(graph, conf, s, mode, pools)
+        assert tuple(got) == self.GAIN_CALLS[mode, instance]
 
 
 class TestBalancedSelection:

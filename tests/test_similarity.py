@@ -57,9 +57,12 @@ class TestBuildGraph:
         assert w[0] == 1.0
 
     def test_zero_norm_row_reported_with_index(self):
-        emb = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
-        with pytest.raises(ValueError, match="row 1"):
-            build_graph(emb, 0.5)
+        # A NaN, infinite or overflowing norm is refused like a zero one; it
+        # would otherwise leave its row isolated, without its edges.
+        for bad in ([0.0, 0.0], [np.nan, 1.0], [np.inf, 1.0], [1e200, 1e200]):
+            emb = np.array([[1.0, 0.0], bad, [0.0, 1.0]])
+            with pytest.raises(ValueError, match="row 1 has a zero or non-finite"):
+                build_graph(emb, 0.5)
 
     def test_bad_tau_rejected(self):
         with pytest.raises(ValueError, match="tau"):
