@@ -158,7 +158,7 @@ class PruneReport:
     noise_ratio: float | None
     timings: dict[str, float]
     config: dict
-    graph: dict | None  # edges and block pairs of the graph read, if any
+    graph: dict | None  # edges, block pairs and degrees of the graph read, if any
 
     def report_dict(self) -> dict:
         return {
@@ -561,7 +561,18 @@ def run_selection(
         noise_ratio=noise_ratio,
         timings={"graph_build_s": float(graph_build_s), "selection_s": float(selection_s)},
         config=config.as_dict(),
-        graph=None if state is None else dict(
-            edges=graph.num_edges, block_pairs=graph.block_pairs,
-            block_pairs_skipped=graph.block_pairs_skipped),
+        graph=None if state is None else _graph_stats(graph),
+    )
+
+
+def _graph_stats(graph: NeighborGraph) -> dict:
+    """The graph block of report.json. Degrees count the self edge; the
+    percentiles are nearest-rank, so each is a degree some row has."""
+    degrees = graph.degrees()
+    p50, p99 = np.percentile(degrees, [50, 99], method="inverted_cdf")
+    return dict(
+        edges=graph.num_edges, block_pairs=graph.block_pairs,
+        block_pairs_skipped=graph.block_pairs_skipped,
+        degree_min=int(degrees.min()), degree_p50=int(p50), degree_p99=int(p99),
+        degree_max=int(degrees.max()), isolated_rows=int(np.count_nonzero(degrees == 1)),
     )

@@ -3,9 +3,10 @@
 The graph is exact (all pairs), symmetric with equal weights in both
 directions, keeps every edge whose similarity clears tau, and always holds
 the self edge (i, 1.0). Blocked products run over the upper triangle of
-block pairs only, one GEMM per pair, mirrored: BLAS results depend on
-blocking, so this makes the weights exactly symmetric. Each product is
-thresholded flat; the CSR arrays are assembled one row band at a time.
+block pairs only, mirrored: BLAS results depend on blocking, so this makes
+the weights exactly symmetric. A pair's product runs in column strips of
+STRIP columns, one GEMM each, and each strip is thresholded flat while it is
+still in cache; the CSR arrays are assembled one row band at a time.
 
 A block pair is skipped when an angle bound proves it edgeless. Block B has a
 unit centroid c_B and radius r_B, the largest angle from c_B to a row of B; by
@@ -24,6 +25,15 @@ from dataclasses import dataclass
 import numpy as np
 
 DEFAULT_BLOCK_SIZE = 1024
+# Columns per GEMM of a block pair. A 1024 x 512 float64 strip is 4 MiB, 2 MiB
+# per core when two BLAS threads split it, so it is thresholded from L2 instead
+# of after a round trip through memory as the 8 MiB whole product. BLAS bits
+# depend on the product's shape: the width must be one measured to keep the
+# bytes of one product per pair. With OpenBLAS 0.3.31, widths 100, 128, 256,
+# 512 and 1000 kept them in every case measured, and 1, 7 and 300 did not;
+# 128, 256 and 512 also kept them under the Haswell, SandyBridge, Zen and
+# SkylakeX kernels.
+STRIP = 512
 # Stored-edge cap (directed entries, self edges included). Exceeding it
 # aborts the build instead of exhausting memory.
 DEFAULT_EDGE_CAP = 2_000_000_000
@@ -84,21 +94,30 @@ class NeighborGraph:
 def _pair_edges(
     normalized: np.ndarray, tau: float, a: tuple[int, int], b: tuple[int, int]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Edges (row <= col only) between block a and block b, b at or after a.
+    """Edges (row <= col only) between block a and block b, b at or after a,
+    computed and thresholded one strip of STRIP columns at a time.
 
     tau > -1, so only the kept weights need clipping, and only from above.
     """
     a_lo, a_hi = a
     b_lo, b_hi = b
-    sims = normalized[a_lo:a_hi] @ normalized[b_lo:b_hi].T
-    if a_lo == b_lo:
-        np.fill_diagonal(sims, 1.0)
-    flat = np.flatnonzero(sims >= tau)
-    rows, cols = np.divmod(flat, sims.shape[1])
-    if a_lo == b_lo:
-        upper = cols >= rows
-        flat, rows, cols = flat[upper], rows[upper], cols[upper]
-    return rows + a_lo, cols + b_lo, np.minimum(sims.ravel()[flat], 1.0)
+    block = normalized[a_lo:a_hi]
+    rows, cols, weights = [], [], []
+    for c_lo in range(b_lo, b_hi, STRIP):
+        sims = block @ normalized[c_lo : min(c_lo + STRIP, b_hi)].T
+        if a_lo == b_lo:
+            np.fill_diagonal(sims[c_lo - a_lo :], 1.0)
+        flat = np.flatnonzero(sims >= tau)
+        r, c = np.divmod(flat, sims.shape[1])
+        r += a_lo
+        c += c_lo
+        if a_lo == b_lo:
+            upper = c >= r
+            flat, r, c = flat[upper], r[upper], c[upper]
+        rows.append(r)
+        cols.append(c)
+        weights.append(np.minimum(sims.ravel()[flat], 1.0))
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(weights)
 
 
 def _edgeless_pairs(normalized: np.ndarray, blocks: list, tau: float) -> np.ndarray:
@@ -128,14 +147,14 @@ def build_graph(
     """Build the exact all-pairs thresholded graph.
 
     Args:
-        embeddings: m x d matrix; every row's norm must be positive and finite.
+        embeddings: m x d matrix; every row must be finite and nonzero.
         tau: similarity threshold in (-1, 1].
         block_size: rows per block for the pairwise products.
         edge_cap: abort with GuardError once the stored-entry count would
             exceed this bound.
 
     Raises:
-        ValueError: a row whose norm is not positive and finite, or bad tau.
+        ValueError: a row that is zero or not finite, or bad tau.
         GuardError: the thresholded graph would exceed edge_cap entries.
     """
     if not -1.0 < tau <= 1.0:
@@ -144,11 +163,19 @@ def build_graph(
     if emb.ndim != 2 or emb.shape[0] < 1:
         raise ValueError(f"embeddings must be a nonempty 2-d matrix, got {emb.shape}")
     m = emb.shape[0]
-    with np.errstate(over="ignore"):  # an overflowing norm is refused below
+    with np.errstate(over="ignore"):  # an overflowing norm is handled below
         norms = np.linalg.norm(emb, axis=1)
     bad = np.flatnonzero(~((norms > 0.0) & (norms < np.inf)))  # NaN fails both
     if bad.size:
-        raise ValueError(f"embedding row {bad[0]} has a zero or non-finite norm")
+        # The squares of a finite nonzero row can under- or overflow: such a
+        # row is divided by its largest absolute entry before its norm is taken.
+        peaks = np.abs(emb[bad]).max(axis=1)
+        refused = bad[~((peaks > 0.0) & (peaks < np.inf))]
+        if refused.size:
+            raise ValueError(f"embedding row {refused[0]} has a zero or non-finite norm")
+        emb = emb.copy()
+        emb[bad] /= peaks[:, None]
+        norms[bad] = np.linalg.norm(emb[bad], axis=1)
     normalized = emb / norms[:, None]
     index_dtype = np.int32 if m < 2**31 else np.int64
 

@@ -238,9 +238,9 @@ class TestPrune:
         assert code == 3
         assert "E_FORMAT" in capsys.readouterr().err
 
-    def test_overflowing_embedding_row_is_format_error(self, tmp_path, capsys):
-        # Row 0's norm overflows to inf; row 0 is parallel to row 1, so
-        # building without it would silently drop its edges.
+    def test_overflowing_embedding_row_keeps_its_edges(self, tmp_path):
+        # Row 0's squares overflow, but the row is parallel to row 1, so it
+        # is normalized like [1, 1] and all three rows are neighbors.
         emb, conf = tmp_path / "emb.csv", tmp_path / "conf.txt"
         emb.write_text("1e200,1e200\n1,1\n1,0.99\n")
         save_scores(conf, [0.5, 0.6, 0.7])
@@ -250,9 +250,9 @@ class TestPrune:
              "external", "--confidence-file", str(conf), "--size", "2",
              "--out", str(tmp_path / "run")]
         )
-        assert code == 3
-        err = capsys.readouterr().err
-        assert err.startswith("E_FORMAT:") and "embedding row 0" in err
+        assert code == 0
+        report = json.loads((tmp_path / "run" / "report.json").read_text())
+        assert report["graph"]["edges"] == 9
 
     def test_edge_cap_is_guard_error(self, synth_dir, tmp_path, capsys):
         code = run_prune(

@@ -580,6 +580,11 @@ class TestRunSelection:
             "edges": graph.indices.size,
             "block_pairs": 1,
             "block_pairs_skipped": 0,
+            "degree_min": 1,
+            "degree_p50": 2,
+            "degree_p99": 2,
+            "degree_max": 2,
+            "isolated_rows": 1,
         }
         assert payload["selected_count"] == 2
         assert payload["config"] == {
@@ -592,6 +597,26 @@ class TestRunSelection:
             "seed": 0,
             "tie_break": "lowest_index",
         }
+
+    def test_report_graph_degrees(self):
+        # Row 0 points away from every other row, so it keeps only its self
+        # edge; blocks of 64 spread the 200 rows over 10 block pairs.
+        rng = np.random.default_rng(11)
+        emb = np.abs(rng.standard_normal((200, 8)))
+        emb[0] = -1.0
+        graph = build_graph(emb, 0.7, block_size=64)
+        config = SelectorConfig(method="prune4rel", budget=20, tau=0.7)
+        report = run_selection(config, confidence=rng.uniform(size=200), graph=graph)
+        stats = report.report_dict()["graph"]
+        degrees = graph.degrees()
+        assert degrees[0] == 1
+        assert stats["isolated_rows"] == np.count_nonzero(degrees == 1) >= 1
+        assert stats["degree_min"] == degrees.min() == 1
+        assert stats["degree_max"] == degrees.max()
+        assert stats["degree_min"] <= stats["degree_p50"] <= stats["degree_p99"]
+        assert stats["degree_p99"] <= stats["degree_max"]
+        assert {stats["degree_p50"], stats["degree_p99"]} <= set(degrees.tolist())
+        assert stats["edges"] == degrees.sum()
 
     def test_noise_ratio_with_ground_truth(self):
         graph = build_graph(TINY_EMB, 0.5)

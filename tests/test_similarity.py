@@ -57,12 +57,24 @@ class TestBuildGraph:
         assert w[0] == 1.0
 
     def test_zero_norm_row_reported_with_index(self):
-        # A NaN, infinite or overflowing norm is refused like a zero one; it
-        # would otherwise leave its row isolated, without its edges.
-        for bad in ([0.0, 0.0], [np.nan, 1.0], [np.inf, 1.0], [1e200, 1e200]):
+        # A NaN or infinite norm is refused like a zero one; it would
+        # otherwise leave its row isolated, without its edges.
+        for bad in ([0.0, 0.0], [np.nan, 1.0], [np.inf, 1.0]):
             emb = np.array([[1.0, 0.0], bad, [0.0, 1.0]])
             with pytest.raises(ValueError, match="row 1 has a zero or non-finite"):
                 build_graph(emb, 0.5)
+
+    def test_rows_whose_squares_under_or_overflow_keep_their_edges(self):
+        # Each row is parallel to [1, 1], whose squares fit in a float64.
+        emb = np.array([[1.0, 1.0], [1.0, 0.99], [0.0, 1.0], [1.0, 0.0]])
+        reference = build_graph(emb, 0.9)
+        for row in ([1e200, 1e200], [1e-200, 1e-200]):
+            emb[0] = row
+            graph = build_graph(emb, 0.9)
+            for i in range(4):
+                for got, want in zip(graph.neighbors(i), reference.neighbors(i)):
+                    np.testing.assert_array_equal(got, want)
+        assert reference.neighbors(0)[0].tolist() == [0, 1]
 
     def test_bad_tau_rejected(self):
         with pytest.raises(ValueError, match="tau"):
@@ -181,6 +193,56 @@ class TestPinnedEdgeCases:
         graph = build_graph(np.array([[3.0, 4.0]]), 0.5)
         validate_graph(graph)
         assert graph_digest(graph) == "1287ab8b1c8b0f58df1630ce6d310d6e"
+
+
+def strip_crossing_input():
+    """3 000 rows at the default block size: the last block has 952 rows and
+    ends in a partial strip. Runs of six scaled duplicates straddle the strip
+    boundary at column 512 of the first and the last diagonal pair."""
+    emb = np.random.default_rng(16).standard_normal((3000, 16))
+    scales = np.array([1.0, 3.0, 0.1, 7.3, 1e-3, 2.5])[:, None]
+    for lo in (509, 2048 + 509):
+        emb[lo : lo + 6] = emb[lo] * scales
+    return emb
+
+
+class TestColumnStrips:
+    """Each block pair's product runs in column strips of 512; the bytes are
+    those of one product per pair, a measured property of the BLAS."""
+
+    def test_strip_crossing_bytes_are_pinned(self):
+        emb = strip_crossing_input()
+        unit = emb / np.linalg.norm(emb, axis=1)[:, None]
+        # In each strip the runs cross, two distinct duplicates' product,
+        # computed in the strip's shape, rounds above 1: the clip and the
+        # self entries are exercised inside strips.
+        for block in ((0, 1024), (2048, 3000)):
+            run = np.arange(6) + block[0] + 509
+            for c_lo in range(block[0], block[1], 512):
+                c_hi = min(c_lo + 512, block[1])
+                sims = unit[block[0] : block[1]] @ unit[c_lo:c_hi].T
+                cols = run[(run >= c_lo) & (run < c_hi)]
+                dup = sims[np.ix_(run - block[0], cols - c_lo)]
+                assert np.count_nonzero((dup > 1.0) & (run[:, None] != cols)), c_lo
+        graph = build_graph(emb, 0.3)
+        assert graph.weights.max() <= 1.0
+        validate_graph(graph)
+        assert graph_digest(graph) == "73e6f9884c35629cef74a13b7179703e"
+
+    def test_strips_match_one_product_per_pair(self, monkeypatch):
+        emb = strip_crossing_input()
+        strips = build_graph(emb, 0.3)
+        monkeypatch.setattr(similarity, "STRIP", similarity.DEFAULT_BLOCK_SIZE + 1)
+        whole = build_graph(emb, 0.3)
+        for array in ("indptr", "indices", "weights"):
+            np.testing.assert_array_equal(getattr(strips, array), getattr(whole, array))
+
+    def test_gauss_dense_graph_bytes_are_pinned(self):
+        # The shape of the gauss_dense benchmark's graph: 820 block pairs.
+        emb = np.random.default_rng(0).standard_normal((40000, 32))
+        graph = build_graph(emb, 0.5)
+        assert graph.num_edges == 2_477_744
+        assert graph_digest(graph) == "b25eb4e608c3993c5c5e5e3fe4b5d786"
 
 
 def counted_pair_edges(monkeypatch):
