@@ -21,6 +21,11 @@ from pathlib import Path
 
 import numpy as np
 
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
+
 from . import __version__
 from .dataset import (
     CONFIDENCE_METRICS,
@@ -206,6 +211,15 @@ def _add_prune_parser(sub) -> None:
     p.add_argument("--out", required=True, help="output directory")
 
 
+def _peak_rss_mb() -> float | None:
+    """This process's peak resident set size so far, in MiB, or None where
+    the resource module is missing. ru_maxrss counts KiB (bytes on macOS)."""
+    if resource is None:
+        return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / (1024 * 1024 if sys.platform == "darwin" else 1024)
+
+
 def cmd_prune(args) -> int:
     method = args.method
     spec = METHOD_TABLE[method]
@@ -277,6 +291,7 @@ def cmd_prune(args) -> int:
     report_path = out_dir / "report.json"
     manifest_path = out_dir / "manifest.json"
     write_selected(selected_path, report.selected)
+    report.peak_rss_mb = _peak_rss_mb()
     report_path.write_text(report.to_json(), encoding="utf-8")
     manifest = RunManifest(
         command="prune",

@@ -6,7 +6,10 @@ confidence: at each step it adds the example with the largest marginal gain
 the pick's weighted confidence into its neighbors' running totals. A
 class-balanced variant round-robins the same step over per-class pools.
 run_selection is the only way to run the greedy, lazy or eager, plain or
-class-balanced, so every run passes its input checks. Lazy evaluation keeps
+class-balanced, so every run passes its input checks. The eager loop
+rescans every unselected candidate of a pool at each pick; for paper gains
+it keeps utility(nbr_conf), recomputed only where a pick changed nbr_conf,
+so a step is one utility pass over the pool. Lazy evaluation keeps
 candidates in a max-priority heap, replayed in batches of array gains, and
 recomputes a kept gain only once a pick marks it stale: a pick marks the
 examples one hop out in the graph for paper gains, two hops for exact ones.
@@ -159,6 +162,7 @@ class PruneReport:
     timings: dict[str, float]
     config: dict
     graph: dict | None  # edges, block pairs and degrees of the graph read, if any
+    peak_rss_mb: float | None = None  # set by the command that writes the report
 
     def report_dict(self) -> dict:
         return {
@@ -172,6 +176,7 @@ class PruneReport:
             },
             "config": self.config,
             "graph": self.graph,
+            "peak_rss_mb": self.peak_rss_mb,
         }
 
     def to_json(self) -> str:
@@ -194,12 +199,62 @@ def load_selected(path) -> np.ndarray:
 # Greedy neighborhood-confidence selection
 # ---------------------------------------------------------------------------
 
-def _eager_pick(state, pool, utility, gains_of):
-    cands = pool[~state.in_set[pool]]
-    if cands.size == 0:
-        return None
-    gains = gains_of(state, cands, utility)
-    return int(cands[int(np.argmax(gains))])
+class _EagerPools:
+    """The eager greedy: every pick scores every unselected member of its
+    pool, so each step is a full candidate scan.
+
+    The pools, which partition the rows, are laid end to end, each in index
+    order, so a pool is a slice of the layout. The layout keeps C, nbr_conf,
+    u = utility(nbr_conf) and the selected flags. Once the caller has added a
+    pick, the next pick copies the pick's neighbors' nbr_conf and recomputes
+    u there, the only entries the addition changed. A paper-mode step takes
+    utility(nbr_conf + C) - u over the slice, clamps it at 0, sets selected
+    members to -1 and takes the argmax. The utility is elementwise, so each
+    gain is bit-identical to marginal_gains_paper's, and argmax's first
+    maximum is the lowest-index tie. An exact gain reads a whole
+    neighborhood, so exact mode scores the unselected members with the
+    array gain instead.
+    """
+
+    def __init__(self, state, pools, utility, gain_mode):
+        self.state = state
+        self.utility = utility
+        self.gains_of = None if gain_mode == "paper_faithful" else GAINS[gain_mode][1]
+        order = np.concatenate(pools).astype(np.intp)
+        self.rank = np.empty_like(order)
+        self.rank[order] = np.arange(order.size)
+        self.nbr = state.nbr_conf[order]
+        self.u = np.array(utility(self.nbr))  # a copy: identity returns its input
+        self.taken = np.zeros(order.size, dtype=np.bool_)
+        layout = (self.nbr, state.conf[order], self.u, self.taken, order)
+        bounds = np.cumsum([0] + [pool.size for pool in pools]).tolist()
+        # Per pool: views of nbr_conf, C, u, the selected flags and the members.
+        self.views = [tuple(a[lo:hi] for a in layout) for lo, hi in zip(bounds, bounds[1:])]
+        self.left = [pool.size for pool in pools]  # unselected members
+        self.seen = 0  # picks already folded into the layout
+
+    def pick(self, pi: int) -> int | None:
+        """Pool pi's next pick, which the caller adds; None once it is empty."""
+        state = self.state
+        for x in state.selected[self.seen:]:
+            idx = state.graph.neighbors(x)[0]
+            at, values = self.rank[idx], state.nbr_conf[idx]
+            self.nbr[at] = values
+            self.u[at] = self.utility(values)
+            self.taken[self.rank[x]] = True
+        self.seen = len(state.selected)
+        if not self.left[pi]:
+            return None
+        self.left[pi] -= 1
+        nbr, conf, u, taken, pool = self.views[pi]
+        if self.gains_of is None:
+            gains = self.utility(nbr + conf)
+            gains -= u
+            np.maximum(gains, 0.0, out=gains)
+            gains[taken] = -1.0
+            return int(pool[gains.argmax()])
+        cands = pool[~taken]
+        return int(cands[int(np.argmax(self.gains_of(state, cands, self.utility)))])
 
 
 # Entries a lazy pick takes off a pool's heap at once.
@@ -308,14 +363,11 @@ def _greedy_core(
     pools: list[np.ndarray],
 ) -> SelectionState:
     state = SelectionState(graph, confidence)
-    if lazy:
-        heaps = _LazyPools(state, pools, utility, gain_mode)
-    else:
-        gains_of = GAINS[gain_mode][1]
+    picker = (_LazyPools if lazy else _EagerPools)(state, pools, utility, gain_mode)
     while True:
         progressed = False
-        for pi, pool in enumerate(pools):
-            x = heaps.pick(pi) if lazy else _eager_pick(state, pool, utility, gains_of)
+        for pi in range(len(pools)):
+            x = picker.pick(pi)
             if x is None:
                 continue
             state.add(x)

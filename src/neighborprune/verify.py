@@ -708,7 +708,8 @@ def run_scaling_benchmark(
     the near-linear claim is about; graph build time is excluded from the
     reported seconds (it is a one-off, and the claim is per selection step).
     The greedy is timed through run_selection, whose checks and report add
-    O(m) work: about 2 ms of a 10 s run at m = 40 000, s = 20 000.
+    O(m) work: about 2-3 ms of a 6-9 s run at m = 40 000, s = 20 000 (two
+    cores of a shared host).
     """
     rows = []
     for m in m_list:

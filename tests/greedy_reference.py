@@ -1,12 +1,19 @@
-"""Reference lazy greedy: the one-entry-at-a-time heap loop.
+"""Reference greedy loops: the one-entry-at-a-time lazy heap and the
+compacting eager scan.
 
-Each pool keeps a heap of (-gain, index, stamp) entries, stamp being the
-selection size the gain was computed at, and every gain comes from the
-scalar gain function. A turn pops entries one at a time: a fresh entry
-(stamped with the current size) is the pick, a stale one is pushed back
-with its recomputed gain. Pools take turns in order, skipping empty ones.
-The batched lazy loop in neighborprune.selectors must reproduce this
-sequence pick for pick, in both gain modes and with class pools.
+heap_greedy keeps, per pool, a heap of (-gain, index, stamp) entries, stamp
+being the selection size the gain was computed at, and every gain comes from
+the scalar gain function. A turn pops entries one at a time: a fresh entry
+(stamped with the current size) is the pick, a stale one is pushed back with
+its recomputed gain. The batched lazy loop in neighborprune.selectors must
+reproduce this sequence pick for pick, in both gain modes and with class
+pools.
+
+scan_greedy compacts a pool to its unselected members at every turn, scores
+them all with the array gain and takes the first maximum. The eager loop in
+neighborprune.selectors must reproduce this sequence pick for pick.
+
+In both, pools take turns in order, skipping empty ones.
 """
 
 import heapq
@@ -18,12 +25,18 @@ from neighborprune.objective import (
     Utility,
     marginal_gain_exact,
     marginal_gain_paper,
+    marginal_gains_exact,
+    marginal_gains_paper,
 )
 from neighborprune.similarity import NeighborGraph
 
 SCALAR_GAINS = {
     "paper_faithful": marginal_gain_paper,
     "exact_marginal": marginal_gain_exact,
+}
+ARRAY_GAINS = {
+    "paper_faithful": marginal_gains_paper,
+    "exact_marginal": marginal_gains_exact,
 }
 
 
@@ -54,6 +67,33 @@ def heap_greedy(
                     progressed = True
                     break
                 heapq.heappush(heap, (-gain_of(state, x, utility), x, stamp))
+            if len(state.selected) == s:
+                break
+        if not progressed:
+            raise RuntimeError("candidate pools exhausted before reaching the budget")
+    return state.selected
+
+
+def scan_greedy(
+    graph: NeighborGraph,
+    confidence,
+    s: int,
+    gain_mode: str,
+    pools: list[np.ndarray],
+    utility: Utility = Utility(),
+) -> list[int]:
+    """The first s picks of the eager loop that rescans each pool's
+    unselected members with the array gain at every turn."""
+    state = SelectionState(graph, confidence)
+    gains_of = ARRAY_GAINS[gain_mode]
+    while len(state.selected) < s:
+        progressed = False
+        for pool in pools:
+            cands = pool[~state.in_set[pool]]
+            if cands.size == 0:
+                continue
+            state.add(int(cands[int(np.argmax(gains_of(state, cands, utility)))]))
+            progressed = True
             if len(state.selected) == s:
                 break
         if not progressed:

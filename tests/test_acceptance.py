@@ -124,9 +124,12 @@ def test_criterion_08_subset_noise_ratio_trend():
 
 
 def test_criterion_09_scaling():
+    # Each size is timed as the best of two runs: a single wall-clock run on
+    # a shared host can be stretched at one size and not another, which has
+    # pushed the slope out on either side of its bound.
     start = time.perf_counter()
     rows = run_scaling_benchmark(
-        [10_000, 20_000, 40_000], d=32, ratio=0.5, repeat=1
+        [10_000, 20_000, 40_000], d=32, ratio=0.5, repeat=2
     )
     elapsed = time.perf_counter() - start
     slopes = scaling_slopes(rows)

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from neighborprune import cli
 from neighborprune import verify as verify_mod
 from neighborprune.cli import main, method_inputs_help
 from neighborprune.dataset import load_labels, load_matrix, save_labels, save_matrix, save_scores
@@ -326,6 +327,15 @@ GOLDEN_EXACT = {
     "prune4rel": ("71f59bf14bb69baeddee1c433e86df18", 199.99999993290297),
     "prune4rel_balanced": ("f18519ae9ad1be6cffe0baacca4da672", 199.99999993290297),
 }
+# The paper-gain greedy runs of GOLDEN (tanh) and GOLDEN_LOG1P with --eager,
+# recorded with the eager loop that compacted each pool and scored it with
+# the array gain; on this dataset eager selects the lazy loop's bytes.
+GOLDEN_EAGER = {
+    ("tanh", "prune4rel"): GOLDEN["prune4rel"],
+    ("tanh", "prune4rel_balanced"): GOLDEN["prune4rel_balanced"],
+    ("log1p", "prune4rel"): GOLDEN_LOG1P["prune4rel"],
+    ("log1p", "prune4rel_balanced"): GOLDEN_LOG1P["prune4rel_balanced"],
+}
 GOLDEN_EXTRA = {
     "prune4rel": ["--tau", "0.9"],
     "prune4rel_balanced": ["--tau", "0.9"],
@@ -354,8 +364,9 @@ class TestGolden:
         assert (digest, report["objective_value"]) == GOLDEN[method]
         assert list(report) == [
             "selected_count", "objective_value", "per_class_counts",
-            "noise_ratio", "timings", "config", "graph",
+            "noise_ratio", "timings", "config", "graph", "peak_rss_mb",
         ]
+        assert report["peak_rss_mb"] > 0
         assert list(report["config"]) == [
             "method", "budget", "tau", "utility", "gain_mode", "lazy", "seed",
             "tie_break",
@@ -380,6 +391,32 @@ class TestGolden:
         ).hexdigest()
         report = json.loads((out / "report.json").read_text())
         assert (digest, report["objective_value"]) == GOLDEN_LOG1P[method]
+
+    @pytest.mark.parametrize("utility", ["tanh", "log1p"])
+    @pytest.mark.parametrize("method", ["prune4rel", "prune4rel_balanced"])
+    def test_paper_eager_selected_bytes_and_objective(
+        self, golden_dir, tmp_path, method, utility
+    ):
+        out = tmp_path / "run"
+        code = run_prune(
+            golden_dir / "data", out, "--method", method, "--ratio", "0.3",
+            "--seed", "13", "--tau", "0.9", "--utility", utility, "--eager",
+        )
+        assert code == 0
+        digest = hashlib.blake2b(
+            (out / "selected.txt").read_bytes(), digest_size=16
+        ).hexdigest()
+        report = json.loads((out / "report.json").read_text())
+        assert (digest, report["objective_value"]) == GOLDEN_EAGER[utility, method]
+
+    def test_peak_rss_is_null_without_resource(self, golden_dir, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "resource", None)
+        out = tmp_path / "run"
+        code = run_prune(
+            golden_dir / "data", out, "--method", "margin", "--ratio", "0.3",
+        )
+        assert code == 0
+        assert json.loads((out / "report.json").read_text())["peak_rss_mb"] is None
 
     @pytest.mark.parametrize("loop", ["lazy", "eager"])
     @pytest.mark.parametrize("method", sorted(GOLDEN_EXACT))

@@ -21,7 +21,7 @@ from neighborprune.selectors import (
 )
 from neighborprune.similarity import build_graph
 
-from greedy_reference import heap_greedy
+from greedy_reference import heap_greedy, scan_greedy
 
 TINY_EMB = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 TINY_CONF = np.array([0.9, 0.8, 0.7])
@@ -210,14 +210,24 @@ def saturating_instance(seed):
 GAIN_MODES = ("paper_faithful", "exact_marginal")
 
 
+def reference_pools(m, labels):
+    """One pool of all m rows, or one per label up to the largest."""
+    if labels is None:
+        return [np.arange(m)]
+    return [np.flatnonzero(labels == j) for j in range(int(labels.max()) + 1)]
+
+
 def heap_picks(graph, conf, s, gain_mode, labels=None, utility=Utility()):
     """The reference heap's sequence, with one pool per label when labels
     are given."""
-    pools = (
-        [np.arange(graph.num_rows)] if labels is None
-        else [np.flatnonzero(labels == j) for j in range(int(labels.max()) + 1)]
-    )
+    pools = reference_pools(graph.num_rows, labels)
     return heap_greedy(graph, conf, s, gain_mode, pools, utility)
+
+
+def scan_picks(graph, conf, s, gain_mode, labels=None, utility=Utility()):
+    """The reference eager scan's sequence, pooled as heap_picks pools."""
+    pools = reference_pools(graph.num_rows, labels)
+    return scan_greedy(graph, conf, s, gain_mode, pools, utility)
 
 
 class TestLazyHeapReplay:
@@ -297,6 +307,54 @@ class TestLazyHeapReplay:
             got.append(tuple(calls))
             assert picks == heap_picks(graph, conf, s, mode, pools)
         assert tuple(got) == self.GAIN_CALLS[mode, instance]
+
+
+class TestEagerRescan:
+    """The eager loop, which keeps utility(nbr_conf) and rescans whole
+    pools, picks exactly as the loop that compacts each pool to its
+    unselected members and scores them with the array gain, lowest-index
+    ties and exhausted pools included."""
+
+    @pytest.mark.parametrize("mode", GAIN_MODES)
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_saturating_instances_match_the_scan(self, seed, mode):
+        graph, conf = saturating_instance(seed)
+        for labels in (None, np.arange(240) % 2):
+            got = greedy(graph, conf, 200, labels, gain_mode=mode, lazy=False)
+            assert got == scan_picks(graph, conf, 200, mode, labels)
+
+    @pytest.mark.parametrize("kind", ["tanh", "identity", "log1p"])
+    @pytest.mark.parametrize("mode", GAIN_MODES)
+    def test_tie_heavy_instances_match_the_scan(self, mode, kind):
+        rng = np.random.default_rng(41)
+        utility = Utility(kind)
+        for _ in range(6):
+            m = int(rng.integers(20, 300))
+            # Duplicate rows, three confidence values, and class 1 empty.
+            emb = rng.standard_normal((m // 2, 8))[rng.integers(0, m // 2, m)]
+            conf = rng.choice([0.25, 0.5, 1.0], m)
+            labels = rng.choice([0, 2, 3], m)
+            labels[0] = 3
+            graph = build_graph(emb, float(rng.choice([0.0, 0.3, 0.6, 0.9])))
+            s = int(rng.integers(1, m + 1))
+            for pools in (None, labels):
+                got = greedy(
+                    graph, conf, s, pools, gain_mode=mode, utility=utility, lazy=False
+                )
+                assert got == scan_picks(graph, conf, s, mode, pools, utility)
+
+    @pytest.mark.parametrize("mode", GAIN_MODES)
+    def test_exhausted_pools_raise(self, mode):
+        graph, conf = saturating_instance(0)
+        labels = np.repeat([0, 2, 1], [40, 120, 80])  # unequal class sizes
+        for pools in (None, labels):
+            with pytest.raises(RuntimeError, match="exhausted"):
+                selectors._greedy_core(
+                    graph, conf, 241, Utility(), mode, False,
+                    selectors._pools(240, pools, 3),
+                )
+            with pytest.raises(RuntimeError, match="exhausted"):
+                scan_picks(graph, conf, 241, mode, pools)
 
 
 class TestBalancedSelection:
@@ -574,7 +632,9 @@ class TestRunSelection:
             "timings",
             "config",
             "graph",
+            "peak_rss_mb",
         ]
+        assert payload["peak_rss_mb"] is None  # only the prune command measures it
         assert list(payload["timings"]) == ["graph_build_s", "selection_s"]
         assert payload["graph"] == {
             "edges": graph.indices.size,
