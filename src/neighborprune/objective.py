@@ -91,8 +91,9 @@ class SelectionState:
         idx = idx.astype(np.intp, copy=False)  # one cast, not one per index below
         contrib = w * self.conf[x]
         y = contrib - self._comp[idx]
-        t = self.nbr_conf[idx] + y
-        self._comp[idx] = (t - self.nbr_conf[idx]) - y
+        before = self.nbr_conf[idx]
+        t = before + y
+        self._comp[idx] = (t - before) - y
         self.nbr_conf[idx] = t
         self.in_set[x] = True
         self.selected.append(x)

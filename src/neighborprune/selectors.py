@@ -627,4 +627,5 @@ def _graph_stats(graph: NeighborGraph) -> dict:
         block_pairs_skipped=graph.block_pairs_skipped,
         degree_min=int(degrees.min()), degree_p50=int(p50), degree_p99=int(p99),
         degree_max=int(degrees.max()), isolated_rows=int(np.count_nonzero(degrees == 1)),
+        screen_survivors=graph.screen_survivors,
     )

@@ -3,18 +3,19 @@
 The graph is exact (all pairs), symmetric with equal weights in both
 directions, keeps every edge whose similarity clears tau, and always holds
 the self edge (i, 1.0). Blocked products run over the upper triangle of
-block pairs only, mirrored: BLAS results depend on blocking, so this makes
-the weights exactly symmetric. A pair's product runs in column strips of
-STRIP columns, one GEMM each, and each strip is thresholded flat while it is
-still in cache; the CSR arrays are assembled one row band at a time.
+block pairs only, mirrored. Each pair is screened one strip of STRIP columns
+at a time by a float32 GEMM, at a cut proved to keep every edge; a survivor's
+weight is the float64 dot product of its two unit rows, summed by numpy in its
+fixed pairwise order, so weights depend on no BLAS tile, thread or kernel and
+are symmetric by value. The CSR arrays are assembled one row band at a time.
 
 A block pair is skipped when an angle bound proves it edgeless. Block B has a
 unit centroid c_B and radius r_B, the largest angle from c_B to a row of B; by
 the triangle inequality every row x of A is at least angle(x, c_B) - r_B from
 every row of B. A pair whose bound, in either direction, exceeds arccos(tau) +
 ANGLE_MARGIN is skipped (Bayardo, Ma & Srikant, WWW 2007; Schubert, SISAP 2021).
-Computed products keep their block shapes, so the bytes equal the full build's
-by construction. The gain depends on row order: rows grouped by class or
+A weight does not depend on which pairs are computed, so the bytes equal the
+full build's. The gain depends on row order: rows grouped by class or
 cluster, as `synth` writes them, skip pairs; shuffled or Gaussian rows do not.
 """
 
@@ -25,21 +26,17 @@ from dataclasses import dataclass
 import numpy as np
 
 DEFAULT_BLOCK_SIZE = 1024
-# Columns per GEMM of a block pair. A 1024 x 512 float64 strip is 4 MiB, 2 MiB
-# per core when two BLAS threads split it, so it is thresholded from L2 instead
-# of after a round trip through memory as the 8 MiB whole product. BLAS bits
-# depend on the product's shape: the width must be one measured to keep the
-# bytes of one product per pair. With OpenBLAS 0.3.31, widths 100, 128, 256,
-# 512 and 1000 kept them in every case measured, and 1, 7 and 300 did not;
-# 128, 256 and 512 also kept them under the Haswell, SandyBridge, Zen and
-# SkylakeX kernels.
+# Columns per screening GEMM of a block pair: a cache choice, not a bytes one. A
+# 1024 x 512 float32 strip is 2 MiB, so it is screened from cache instead of
+# after a round trip through memory as the whole product.
 STRIP = 512
 # Stored-edge cap (directed entries, self edges included). Exceeding it
 # aborts the build instead of exhausting memory.
 DEFAULT_EDGE_CAP = 2_000_000_000
-# Slack (radians) of the block-pair bound. GEMM cosines of unit rows err by at
-# most ~d*u (3.6e-15 at d=32), which arccos turns into sqrt(2*d*u) (8.5e-8 rad)
-# near angle 0. The bound adds two such angles and the pair's product at tau one
+# Slack (radians) of the block-pair bound. Float64 cosines of unit rows, from
+# the bound's GEMM or a pair's numpy-summed weight, err by at most ~d*u
+# (3.6e-15 at d=32), which arccos turns into sqrt(2*d*u) (8.5e-8 rad) near
+# angle 0. The bound adds two such angles and the pair's weight at tau one
 # more: 3e-7 rad at d=32; 1e-5 covers every d up to 50 000.
 ANGLE_MARGIN = 1e-5
 
@@ -65,6 +62,7 @@ class NeighborGraph:
     weights: np.ndarray
     block_pairs: int  # block pairs of the build, the diagonal ones included
     block_pairs_skipped: int  # of those, the pairs the angle bound ruled out
+    screen_survivors: int  # entries (row <= col) that passed the float32 screen
 
     def neighbors(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         """Neighbor indices and weights of row i (self edge included)."""
@@ -93,31 +91,43 @@ class NeighborGraph:
 
 def _pair_edges(
     normalized: np.ndarray, tau: float, a: tuple[int, int], b: tuple[int, int]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Edges (row <= col only) between block a and block b, b at or after a,
-    computed and thresholded one strip of STRIP columns at a time.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Edges (row <= col only) between block a and block b, b at or after a, and
+    how many entries (row <= col) passed the float32 screen, strip by strip.
 
     tau > -1, so only the kept weights need clipping, and only from above.
     """
     a_lo, a_hi = a
     b_lo, b_hi = b
-    block = normalized[a_lo:a_hi]
-    rows, cols, weights = [], [], []
+    d = normalized.shape[1]
+    # The cut is (d + 4)*u*1.01 below tau, u = 2**-24: rounding unit rows to
+    # float32 moves a cosine by at most 2u, a d-term float32 dot product in any
+    # order errs by at most d*u/(1 - d*u), rounding the cut moves it by u, and
+    # one u more covers the float64 side (norms, a weight's rounding, underflow);
+    # 1.01 covers 1/(1 - d*u) up to d = 160 000, and wider rows are cut 2 below
+    # tau. So every pair whose float64 weight reaches tau passes the screen.
+    cut = np.float32(tau - ((d + 4) * 2.0**-24 * 1.01 if d <= 160_000 else 2.0))
+    step = max(1, 2**16 // d)  # survivors per weight chunk: 512 KiB per gather
+    block = normalized[a_lo:a_hi].astype(np.float32)
+    rows, cols, weights, survivors = [], [], [], 0
     for c_lo in range(b_lo, b_hi, STRIP):
-        sims = block @ normalized[c_lo : min(c_lo + STRIP, b_hi)].T
-        if a_lo == b_lo:
-            np.fill_diagonal(sims[c_lo - a_lo :], 1.0)
-        flat = np.flatnonzero(sims >= tau)
-        r, c = np.divmod(flat, sims.shape[1])
+        sims = block @ normalized[c_lo : min(c_lo + STRIP, b_hi)].astype(np.float32).T
+        r, c = np.divmod(np.flatnonzero(sims >= cut), sims.shape[1])
         r += a_lo
         c += c_lo
         if a_lo == b_lo:
             upper = c >= r
-            flat, r, c = flat[upper], r[upper], c[upper]
-        rows.append(r)
-        cols.append(c)
-        weights.append(np.minimum(sims.ravel()[flat], 1.0))
-    return np.concatenate(rows), np.concatenate(cols), np.concatenate(weights)
+            r, c = r[upper], c[upper]
+        survivors += r.size
+        w = np.empty(r.size)
+        for part in (slice(lo, lo + step) for lo in range(0, r.size, step)):
+            np.add.reduce(normalized[r[part]] * normalized[c[part]], axis=1, out=w[part])
+        w[r == c] = 1.0
+        keep = w >= tau
+        rows.append(r[keep])
+        cols.append(c[keep])
+        weights.append(np.minimum(w[keep], 1.0))
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(weights), survivors
 
 
 def _edgeless_pairs(normalized: np.ndarray, blocks: list, tau: float) -> np.ndarray:
@@ -186,7 +196,7 @@ def build_graph(
     pending = [[] for _ in blocks]
     skip = _edgeless_pairs(normalized, blocks, tau)
     indptr = np.zeros(m + 1, dtype=np.int64)
-    indices, weights, stored = [], [], 0
+    indices, weights, stored, survivors = [], [], 0, 0
     for ai, (lo, hi) in enumerate(blocks):
         band, pending[ai] = pending[ai], None
         # Block pairs run in order, one GEMM each (BLAS threads the product);
@@ -194,7 +204,8 @@ def build_graph(
         for bj in range(ai, len(blocks)):
             if skip[ai, bj]:
                 continue
-            rows, cols, w = _pair_edges(normalized, tau, blocks[ai], blocks[bj])
+            rows, cols, w, passed = _pair_edges(normalized, tau, blocks[ai], blocks[bj])
+            survivors += passed
             rows, cols = rows.astype(index_dtype), cols.astype(index_dtype)
             off = rows != cols
             stored += rows.size + int(np.count_nonzero(off))
@@ -226,4 +237,5 @@ def build_graph(
         weights=np.concatenate(weights),
         block_pairs=len(blocks) * (len(blocks) + 1) // 2,
         block_pairs_skipped=int(np.count_nonzero(skip)) // 2,
+        screen_survivors=survivors,
     )

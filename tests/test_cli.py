@@ -255,6 +255,17 @@ class TestPrune:
         report = json.loads((tmp_path / "run" / "report.json").read_text())
         assert report["graph"]["edges"] == 9
 
+    def test_report_counts_screen_survivors(self, synth_dir, tmp_path):
+        # Every entry (row <= col) of the graph passed the float32 screen:
+        # the upper-triangle edges and the 200 self entries.
+        code = run_prune(
+            synth_dir, tmp_path / "run", "--method", "prune4rel", "--ratio", "0.2", "--tau", "0.9"
+        )
+        assert code == 0
+        graph = json.loads((tmp_path / "run" / "report.json").read_text())["graph"]
+        upper = (graph["edges"] + 200) // 2
+        assert graph["edges"] > 200 and graph["screen_survivors"] >= upper
+
     def test_edge_cap_is_guard_error(self, synth_dir, tmp_path, capsys):
         code = run_prune(
             synth_dir, tmp_path / "run", "--method", "prune4rel",

@@ -645,6 +645,7 @@ class TestRunSelection:
             "degree_p99": 2,
             "degree_max": 2,
             "isolated_rows": 1,
+            "screen_survivors": 4,  # the 3 self entries and edge (0, 1)
         }
         assert payload["selected_count"] == 2
         assert payload["config"] == {

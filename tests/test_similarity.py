@@ -1,5 +1,9 @@
 import hashlib
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +30,29 @@ def graph_digest(graph):
     for array in (graph.indptr, graph.indices.astype(np.int64), graph.weights):
         digest.update(array.tobytes())
     return digest.hexdigest()
+
+
+def reference_arrays(emb, tau):
+    """Brute-force all-pairs CSR arrays under the graph's weight definition:
+    each pair's numpy-summed float64 dot product of the normalized rows,
+    masked at tau, clipped at 1, self entries 1.0, sorted per row."""
+    unit = emb / np.linalg.norm(emb, axis=1)[:, None]
+    indptr, indices, weights = [0], [], []
+    for i, row in enumerate(unit):
+        w = np.add.reduce(row * unit, axis=1)
+        w[i] = 1.0
+        keep = np.flatnonzero(w >= tau)
+        indptr.append(indptr[-1] + keep.size)
+        indices.append(keep)
+        weights.append(np.minimum(w[keep], 1.0))
+    return np.array(indptr), np.concatenate(indices), np.concatenate(weights)
+
+
+def assert_matches_reference(graph, emb, tau):
+    """indptr, indices and weights equal the reference's byte for byte."""
+    got = (graph.indptr, graph.indices.astype(np.int64), graph.weights)
+    for name, g, want in zip(("indptr", "indices", "weights"), got, reference_arrays(emb, tau)):
+        assert g.dtype == want.dtype and g.tobytes() == want.tobytes(), name
 
 
 class TestBuildGraph:
@@ -126,7 +153,8 @@ class TestBuildGraph:
         # indices hashed as int64 whatever their stored width.
         emb = np.random.default_rng(5).standard_normal((3000, 16))
         graph = build_graph(emb, 0.3, block_size=256)
-        assert graph_digest(graph) == "49c419a3d95b418ebb457172691b6615"
+        assert graph_digest(graph) == "1224cf82995866875708f41d97bf67db"
+        assert_matches_reference(graph, emb, 0.3)
 
     def test_blocked_build_is_symmetric_and_valid(self):
         rng = np.random.default_rng(10)
@@ -150,11 +178,9 @@ class TestBuildGraph:
 
 
 class TestPinnedEdgeCases:
-    """Digests of small graphs at the corners of blocked edge extraction.
-
-    Each digest was recorded with an independent extraction (a 2-D mask per
-    block pair, then one global lexsort), so it pins the bytes, not just the
-    invariants.
+    """Small graphs at the corners of blocked edge extraction, each equal byte
+    for byte to the brute-force reference, so the bytes are pinned, not just
+    the invariants.
     """
 
     def test_negative_tau(self):
@@ -163,36 +189,75 @@ class TestPinnedEdgeCases:
         graph = build_graph(emb, -0.5, block_size=64)
         validate_graph(graph)
         assert graph.weights.min() < 0.0
-        assert graph_digest(graph) == "94f36f5be410da301b61169eac62df99"
+        assert_matches_reference(graph, emb, -0.5)
 
     def test_scaled_duplicates_round_above_one(self):
         base = np.random.default_rng(4).standard_normal((12, 5))
         emb = np.concatenate([base * s for s in (1.0, 3.0, 0.1, 7.3, 1e-3)])
         unit = emb / np.linalg.norm(emb, axis=1)[:, None]
-        sims = unit @ unit.T
+        sims = np.array([np.add.reduce(row * unit, axis=1) for row in unit])
         np.fill_diagonal(sims, 0.0)
         assert np.count_nonzero(sims > 1.0)  # the input does exercise the clip
         graph = build_graph(emb, 0.2)
         assert graph.weights.max() <= 1.0
         validate_graph(graph)  # symmetric weights, self edges 1.0
-        assert graph_digest(graph) == "a0a4ec1fa754181e0e9479075ea2dcbd"
+        assert_matches_reference(graph, emb, 0.2)
 
     def test_rows_not_a_multiple_of_block_size(self):
         emb = np.random.default_rng(6).standard_normal((250, 6))
         graph = build_graph(emb, 0.3, block_size=64)
         validate_graph(graph)
-        assert graph_digest(graph) == "3fbb9f239d8076dd5721961cf15a670c"
+        assert_matches_reference(graph, emb, 0.3)
 
     def test_fewer_rows_than_one_block(self):
         emb = np.random.default_rng(9).standard_normal((50, 6))
         graph = build_graph(emb, 0.3)
         validate_graph(graph)
-        assert graph_digest(graph) == "4808c00bd0a61265eb53cd468c0a4ed7"
+        assert_matches_reference(graph, emb, 0.3)
 
     def test_one_row(self):
-        graph = build_graph(np.array([[3.0, 4.0]]), 0.5)
+        emb = np.array([[3.0, 4.0]])
+        graph = build_graph(emb, 0.5)
         validate_graph(graph)
         assert graph_digest(graph) == "1287ab8b1c8b0f58df1630ce6d310d6e"
+        assert_matches_reference(graph, emb, 0.5)
+
+
+def near_tau_input(d, tau, pairs=60, seed=0):
+    """Pairs of unit rows whose cosine is tau + 1e-7 (even pairs) or tau - 1e-7
+    (odd pairs), shuffled; returns the rows and each pair's row indices."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((pairs, d))
+    x /= np.linalg.norm(x, axis=1)[:, None]
+    y = rng.standard_normal((pairs, d))
+    y -= np.sum(x * y, axis=1)[:, None] * x
+    y /= np.linalg.norm(y, axis=1)[:, None]
+    cos = tau + np.where(np.arange(pairs) % 2 == 0, 1e-7, -1e-7)
+    partners = cos[:, None] * x + np.sqrt(1.0 - cos**2)[:, None] * y
+    order = rng.permutation(2 * pairs)
+    where = np.argsort(order)  # where[k]: the new index of row k
+    return np.concatenate([x, partners])[order], np.column_stack([where[:pairs], where[pairs:]])
+
+
+class TestScreenSoundness:
+    """The float32 screen drops no edge: each build equals the brute-force
+    reference byte for byte. TestPinnedEdgeCases holds the tau = -0.5, one-row
+    and not-a-multiple-of-the-block-size cases."""
+
+    @pytest.mark.parametrize("d", [32, 2048])  # the screen's margin grows with d
+    def test_pairs_either_side_of_tau(self, d):
+        emb, pairs = near_tau_input(d, 0.5)
+        graph = build_graph(emb, 0.5, block_size=32)
+        assert_matches_reference(graph, emb, 0.5)
+        edges = edge_set(graph)
+        assert [(i, j) in edges for i, j in pairs.tolist()] == [True, False] * 30
+
+    def test_tau_one_with_exact_and_scaled_duplicates(self):
+        base = np.random.default_rng(13).standard_normal((20, 8))
+        emb = np.concatenate([base, base[:10], base[:10] * 3.0, base[:10] * 1e-3])
+        graph = build_graph(emb, 1.0, block_size=16)
+        assert_matches_reference(graph, emb, 1.0)
+        assert graph.num_edges > emb.shape[0]  # some duplicates are edges
 
 
 def strip_crossing_input():
@@ -207,42 +272,66 @@ def strip_crossing_input():
 
 
 class TestColumnStrips:
-    """Each block pair's product runs in column strips of 512; the bytes are
-    those of one product per pair, a measured property of the BLAS."""
+    """Each block pair is screened in column strips of 512; the bytes depend
+    neither on the strip width nor on any BLAS setting."""
 
     def test_strip_crossing_bytes_are_pinned(self):
         emb = strip_crossing_input()
-        unit = emb / np.linalg.norm(emb, axis=1)[:, None]
-        # In each strip the runs cross, two distinct duplicates' product,
-        # computed in the strip's shape, rounds above 1: the clip and the
-        # self entries are exercised inside strips.
-        for block in ((0, 1024), (2048, 3000)):
-            run = np.arange(6) + block[0] + 509
-            for c_lo in range(block[0], block[1], 512):
-                c_hi = min(c_lo + 512, block[1])
-                sims = unit[block[0] : block[1]] @ unit[c_lo:c_hi].T
-                cols = run[(run >= c_lo) & (run < c_hi)]
-                dup = sims[np.ix_(run - block[0], cols - c_lo)]
-                assert np.count_nonzero((dup > 1.0) & (run[:, None] != cols)), c_lo
         graph = build_graph(emb, 0.3)
+        for lo in (509, 2048 + 509):  # each run's rows are one another's neighbors
+            for i in range(lo, lo + 6):
+                assert set(range(lo, lo + 6)) <= set(graph.neighbors(i)[0].tolist())
         assert graph.weights.max() <= 1.0
         validate_graph(graph)
-        assert graph_digest(graph) == "73e6f9884c35629cef74a13b7179703e"
+        assert graph_digest(graph) == "9ba28aed902f458c6648d62e0aad2113"
+        assert_matches_reference(graph, emb, 0.3)
 
-    def test_strips_match_one_product_per_pair(self, monkeypatch):
+    def test_strip_width_does_not_change_the_bytes(self, monkeypatch):
+        # Under the BLAS-defined weights widths 7 and 300 changed the bytes.
         emb = strip_crossing_input()
-        strips = build_graph(emb, 0.3)
-        monkeypatch.setattr(similarity, "STRIP", similarity.DEFAULT_BLOCK_SIZE + 1)
-        whole = build_graph(emb, 0.3)
-        for array in ("indptr", "indices", "weights"):
-            np.testing.assert_array_equal(getattr(strips, array), getattr(whole, array))
+        want = graph_digest(build_graph(emb, 0.3))
+        for width in (7, 300, similarity.DEFAULT_BLOCK_SIZE + 1):
+            monkeypatch.setattr(similarity, "STRIP", width)
+            assert graph_digest(build_graph(emb, 0.3)) == want, width
+
+    def test_blas_settings_do_not_change_the_bytes(self):
+        # OpenBLAS and numpy read these variables only when numpy is imported,
+        # so each build runs in a fresh interpreter.
+        tests = Path(__file__).resolve().parent
+        path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
+        script = (
+            "from neighborprune.similarity import build_graph\n"
+            "from test_similarity import graph_digest, strip_crossing_input\n"
+            "print(graph_digest(build_graph(strip_crossing_input(), 0.3)))\n"
+        )
+        keys = ("OPENBLAS_NUM_THREADS", "OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES")
+        base = {k: v for k, v in os.environ.items() if k not in keys} | {"PYTHONPATH": path}
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+        variants = [{"OPENBLAS_NUM_THREADS": n} for n in ("1", "2")]
+        # Only the kernels this CPU can run, each with the feature it needs.
+        kernels = {"Haswell": "X86_V3", "SandyBridge": "AVX", "Zen": "X86_V3", "SkylakeX": "AVX512_SKX"}
+        variants += [
+            {"OPENBLAS_CORETYPE": core} for core, feature in kernels.items()
+            if __cpu_features__.get(feature)
+        ]
+        enabled = [f for f in __cpu_dispatch__ if __cpu_features__.get(f)]
+        if enabled:  # numpy's baseline kernels in place of every dispatched one
+            variants.append({"NPY_DISABLE_CPU_FEATURES": " ".join(enabled)})
+        want = graph_digest(build_graph(strip_crossing_input(), 0.3))
+        for variant in variants:
+            out = subprocess.run(
+                [sys.executable, "-c", script], env=base | variant,
+                capture_output=True, text=True, check=True, timeout=300,
+            )
+            assert out.stdout.strip() == want, variant
 
     def test_gauss_dense_graph_bytes_are_pinned(self):
         # The shape of the gauss_dense benchmark's graph: 820 block pairs.
         emb = np.random.default_rng(0).standard_normal((40000, 32))
         graph = build_graph(emb, 0.5)
         assert graph.num_edges == 2_477_744
-        assert graph_digest(graph) == "b25eb4e608c3993c5c5e5e3fe4b5d786"
+        assert graph_digest(graph) == "06b51f234e90ec19eef6ae9ea804f029"
 
 
 def counted_pair_edges(monkeypatch):
@@ -289,7 +378,7 @@ class TestSkippedBlockPairs:
         assert [p in computed for p in adjacent] == [True, True, False, True, True]
         normalized = calls[0][0]
         for a, b in skipped:
-            rows, _, _ = similarity._pair_edges(normalized, tau, a, b)
+            rows = similarity._pair_edges(normalized, tau, a, b)[0]
             assert rows.size == 0, (a, b)
         # Brute-force all-pairs reference.
         sims = normalized @ normalized.T
@@ -307,13 +396,13 @@ class TestSkippedBlockPairs:
 
     def test_class_ordered_synthetic_bytes_are_pinned(self, monkeypatch):
         # synth writes rows grouped by class, so most of the 78 pairs of
-        # 256-row blocks are skipped; the digest was recorded by the build
-        # that computed every pair.
+        # 256-row blocks are skipped; the reference computes every pair.
         config = SynthConfig(seed=7, **(TREND_SYNTH | {"points_per_class": 300}))
         emb = generate_synthetic(config).embeddings
         calls = counted_pair_edges(monkeypatch)
         graph = build_graph(emb, TREND_TAU, block_size=256)
-        assert graph_digest(graph) == "78cbbaff9c2aae379af3b90e10e1ad6c"
+        assert graph_digest(graph) == "33e4e48e1c4db09c1937fb7f0aefacc8"
+        assert_matches_reference(graph, emb, TREND_TAU)
         assert graph.block_pairs == len(block_pairs(emb.shape[0], 256)) == 78
         assert len(calls) == 78 - graph.block_pairs_skipped < 78
 
