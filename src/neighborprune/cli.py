@@ -16,7 +16,7 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -70,7 +70,7 @@ class RunManifest:
     config: dict
     inputs: dict[str, str]
     outputs: list[str]
-    timings: dict[str, float]
+    timings: dict[str, float] = field(default_factory=dict)
     version: str = __version__
 
     def write(self, path: Path) -> None:
@@ -352,7 +352,6 @@ def cmd_eval(args) -> int:
                 config=_flags(args),
                 inputs=_input_digests(_flags(args)),  # every flag names a file
                 outputs=[args.out] if args.out else [],
-                timings={},
             )
         ),
     }
@@ -423,7 +422,6 @@ def cmd_synth(args) -> int:
         config=_flags(args),
         inputs={},
         outputs=[str(p) for p in paths.values()],
-        timings={},
     )
     manifest.write(out_dir / "manifest.json")
     print(
@@ -513,7 +511,6 @@ def cmd_bench(args) -> int:
             config=_flags(args),
             inputs={},
             outputs=[args.out],
-            timings={},
         )
         manifest.write(Path(args.out).with_suffix(".manifest.json"))
     else:

@@ -10,9 +10,10 @@ class-balanced, so every run passes its input checks. The eager loop
 rescans every unselected candidate of a pool at each pick; for paper gains
 it keeps utility(nbr_conf), recomputed only where a pick changed nbr_conf,
 so a step is one utility pass over the pool. Lazy evaluation keeps
-candidates in a max-priority heap, replayed in batches of array gains, and
-recomputes a kept gain only once a pick marks it stale: a pick marks the
-examples one hop out in the graph for paper gains, two hops for exact ones.
+candidates in a max-priority heap of (-gain, index), replayed in batches of
+array gains; the top entry is the pick once its key equals its up-to-date
+gain. It recomputes a kept gain only once a pick marks it stale: a pick marks
+the examples one hop out in the graph for paper gains, two hops for exact ones.
 A gain recomputed from unchanged inputs is bit-identical, so marking more
 costs work, never a pick. Both loops break ties by lowest index, and the
 lazy run reproduces the eager selection sequence as long as no computed gain
@@ -36,7 +37,6 @@ import heapq
 import json
 import time
 from dataclasses import asdict, dataclass, field
-from itertools import repeat
 from numbers import Integral
 from typing import Sequence
 
@@ -274,12 +274,15 @@ class _PoolHeap:
 
 
 class _LazyPools:
-    """The lazy greedy: one max-heap of (-gain, index, stamp) entries per
-    candidate pool, stamp being the selection size the gain was computed
-    at. A pick pops the top entry: a fresh one (stamped with the current
-    size) is the pick, and a stale one goes back with its gain refreshed.
-    (-gain, index) orders the entries totally, so this sequence of pops,
-    refreshes and picks does not depend on how a heap is stored.
+    """The lazy greedy: one max-heap of (-gain, index) entries per candidate
+    pool. A pick refreshes the top entry's gain: if the entry's key equals
+    it, the entry is the pick, and otherwise it goes back with the refreshed
+    gain. (-gain, index) orders the entries totally, so this sequence of
+    refreshes and picks does not depend on how a heap is stored. The picks
+    are those of a heap that stamps each entry with the selection size at
+    its refresh and picks the first fresh stamp: there, an entry whose
+    refresh leaves its key unchanged goes back on top and comes straight
+    out again.
 
     The pops are replayed in batches. A batch is a pool's _BATCH best
     entries plus every entry tied with the last, whose gain is the cut, and
@@ -307,7 +310,7 @@ class _LazyPools:
         self.pools = []
         for pool in pools:
             gains = self.gains_of(state, pool, utility)
-            heap = list(zip((-gains).tolist(), pool.tolist(), repeat(0)))
+            heap = list(zip((-gains).tolist(), pool.tolist()))
             heapq.heapify(heap)
             self.pools.append(_PoolHeap(heap))
 
@@ -315,7 +318,6 @@ class _LazyPools:
         """Pool pi's next pick, which the caller adds; None once it is empty."""
         p = self.pools[pi]
         state, current = self.state, self.current
-        now = len(state.selected)
         batch, cached = p.batch, p.cached
         while True:
             if not batch or batch[0][0] > p.neg_cut:
@@ -323,18 +325,18 @@ class _LazyPools:
                 batch, cached = p.batch, p.cached
                 if not batch:
                     return None
-            _, x, at = batch[0]
-            if at == now:
+            key, x = batch[0]
+            if not current[x]:
+                cached[x] = self.gain_of(state, x, self.utility)
+                current[x] = True
+            if key == -cached[x]:
                 heapq.heappop(batch)
                 reach, _ = state.graph.neighbors(x)
                 if self.two_hops:
                     reach = state.graph.indices[state.graph.entries(reach)[0]]
                 current[reach] = False
                 return x
-            if not current[x]:
-                cached[x] = self.gain_of(state, x, self.utility)
-                current[x] = True
-            heapq.heapreplace(batch, (-cached[x], x, now))
+            heapq.heapreplace(batch, (-cached[x], x))
 
     def _next_batch(self, p: _PoolHeap) -> None:
         rest = p.rest
@@ -347,7 +349,7 @@ class _LazyPools:
         if not batch:
             return
         p.neg_cut = batch[-1][0]
-        members = np.array([x for _, x, _ in batch], dtype=np.intp)
+        members = np.array([x for _, x in batch], dtype=np.intp)
         gains = self.gains_of(self.state, members, self.utility)
         p.cached = dict(zip(members.tolist(), gains.tolist()))
         self.current[members] = True

@@ -92,8 +92,8 @@ class NeighborGraph:
 def _pair_edges(
     normalized: np.ndarray, tau: float, a: tuple[int, int], b: tuple[int, int]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Edges (row <= col only) between block a and block b, b at or after a, and
-    how many entries (row <= col) passed the float32 screen, strip by strip.
+    """Edges (row < col only) between block a and block b, b at or after a, and
+    how many entries (row < col) passed the float32 screen, strip by strip.
 
     tau > -1, so only the kept weights need clipping, and only from above.
     """
@@ -116,13 +116,12 @@ def _pair_edges(
         r += a_lo
         c += c_lo
         if a_lo == b_lo:
-            upper = c >= r
+            upper = c > r
             r, c = r[upper], c[upper]
         survivors += r.size
         w = np.empty(r.size)
         for part in (slice(lo, lo + step) for lo in range(0, r.size, step)):
             np.add.reduce(normalized[r[part]] * normalized[c[part]], axis=1, out=w[part])
-        w[r == c] = 1.0
         keep = w >= tau
         rows.append(r[keep])
         cols.append(c[keep])
@@ -191,14 +190,21 @@ def build_graph(
 
     size = max(1, block_size)
     blocks = [(lo, min(lo + size, m)) for lo in range(0, m, size)]
-    # pending[j] holds the mirrored (lower-triangle) entries of row band j
-    # from pairs of earlier row blocks, as (rows, cols, weights).
+    # pending[j] collects row band j's entries as (rows, cols, weights): each
+    # pair (i, j) adds its entries mirrored, and band j adds its own.
     pending = [[] for _ in blocks]
     skip = _edgeless_pairs(normalized, blocks, tau)
     indptr = np.zeros(m + 1, dtype=np.int64)
     indices, weights, stored, survivors = [], [], 0, 0
     for ai, (lo, hi) in enumerate(blocks):
-        band, pending[ai] = pending[ai], None
+        band = pending[ai]
+        own = np.arange(lo, hi, dtype=index_dtype)
+        band.append((own, own, np.ones(hi - lo)))
+        # The self entries count as screen survivors unscreened: a unit row's
+        # float32 self-product is within the screen's error bound of 1, so it
+        # clears the cut for every tau <= 1.
+        stored += hi - lo
+        survivors += hi - lo
         # Block pairs run in order, one GEMM each (BLAS threads the product);
         # the guard stops at the first pair that takes the count over the cap.
         for bj in range(ai, len(blocks)):
@@ -207,18 +213,15 @@ def build_graph(
             rows, cols, w, passed = _pair_edges(normalized, tau, blocks[ai], blocks[bj])
             survivors += passed
             rows, cols = rows.astype(index_dtype), cols.astype(index_dtype)
-            off = rows != cols
-            stored += rows.size + int(np.count_nonzero(off))
+            stored += 2 * rows.size
             if stored > edge_cap:
                 raise GuardError(
                     f"thresholded graph exceeds the edge cap ({edge_cap} stored "
                     f"entries) at tau={tau}; raise tau or the cap"
                 )
             band.append((rows, cols, w))
-            if bj == ai:
-                band.append((cols[off], rows[off], w[off]))
-            else:
-                pending[bj].append((cols, rows, w))
+            pending[bj].append((cols, rows, w))
+        pending[ai] = None
         # Row band ai is complete; each (row, col) occurs once, so sorting by
         # the combined key gives the CSR order.
         rows = np.concatenate([r for r, _, _ in band])

@@ -338,28 +338,20 @@ APPROX_FACTOR = 1.0 - 1.0 / math.e
 PROBE_TOL = 1e-9
 DEFAULT_TAUS = (0.3, 0.7, 0.95)
 INSTANCE_M_LO = 4  # the smallest random probe instance
+INSTANCE_M_HI = 14  # the largest, small enough for a brute-force optimum
+BOUND_S_HI = 7  # the largest budget of the approximation-bound check
 
 
-def _random_instance(
-    rng: np.random.Generator,
-    m_hi: int = 14,
-    taus=DEFAULT_TAUS,
-) -> tuple[NeighborGraph, np.ndarray]:
-    m = int(rng.integers(INSTANCE_M_LO, m_hi + 1))
+def _random_instance(rng: np.random.Generator) -> tuple[NeighborGraph, np.ndarray]:
+    m = int(rng.integers(INSTANCE_M_LO, INSTANCE_M_HI + 1))
     d = int(rng.integers(2, 9))
     emb = rng.standard_normal((m, d))
     conf = rng.uniform(0.0, 1.0, size=m)
-    tau = float(taus[int(rng.integers(len(taus)))])
+    tau = float(DEFAULT_TAUS[int(rng.integers(len(DEFAULT_TAUS)))])
     return build_graph(emb, tau), conf
 
 
-def check_greedy_bound(
-    instances: int = 200,
-    seed: int = 20240501,
-    taus=DEFAULT_TAUS,
-    m_hi: int = 14,
-    s_hi: int = 7,
-) -> CheckResult:
+def check_greedy_bound(instances: int = 200, seed: int = 20240501) -> CheckResult:
     """Greedy (exact-marginal gain) vs the brute-force optimum: the greedy
     objective must reach (1 - 1/e) of the optimum, minus float tolerance."""
     rng = np.random.default_rng(seed)
@@ -367,9 +359,9 @@ def check_greedy_bound(
     worst_margin = np.inf
     violations = 0
     for _ in range(instances):
-        graph, conf = _random_instance(rng, m_hi=m_hi, taus=taus)
+        graph, conf = _random_instance(rng)
         m = graph.num_rows
-        s = int(rng.integers(1, min(s_hi, m) + 1))
+        s = int(rng.integers(1, min(BOUND_S_HI, m) + 1))
         config = SelectorConfig(
             method="prune4rel", budget=s, utility=utility, gain_mode="exact_marginal"
         )

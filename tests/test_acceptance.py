@@ -36,7 +36,7 @@ from neighborprune.verify import (
 
 def test_criterion_01_approximation_bound():
     start = time.perf_counter()
-    result = check_greedy_bound(instances=200, taus=(0.3, 0.7, 0.95), m_hi=14, s_hi=7)
+    result = check_greedy_bound(instances=200)
     elapsed = time.perf_counter() - start
     assert result.data["violations"] == 0, result.detail
     assert result.data["worst_margin"] >= -1e-9

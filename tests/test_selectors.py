@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import subprocess
@@ -263,6 +264,12 @@ class TestLazyHeapReplay:
             for labels in (None, rng.integers(0, classes, m)):
                 got = greedy(graph, conf, s, labels, gain_mode=mode, utility=utility)
                 assert got == heap_picks(graph, conf, s, mode, labels, utility)
+        # Zero confidence: every gain is exactly 0.0 and every key -0.0.
+        emb = np.random.default_rng(40).standard_normal((300, 8))
+        graph, conf = build_graph(emb, 0.3), np.zeros(300)
+        for labels in (None, np.arange(300) % 3):
+            got = greedy(graph, conf, 200, labels, gain_mode=mode)
+            assert got == heap_picks(graph, conf, 200, mode, labels)
 
     # Gain calls (one-candidate, array) of the lazy loop, with one pool and
     # with class pools, recomputing only gains whose inputs changed. Marking
@@ -347,10 +354,10 @@ class TestEagerRescan:
     def test_exhausted_pools_raise(self, mode):
         graph, conf = saturating_instance(0)
         labels = np.repeat([0, 2, 1], [40, 120, 80])  # unequal class sizes
-        for pools in (None, labels):
+        for pools, lazy in itertools.product((None, labels), (False, True)):
             with pytest.raises(RuntimeError, match="exhausted"):
                 selectors._greedy_core(
-                    graph, conf, 241, Utility(), mode, False,
+                    graph, conf, 241, Utility(), mode, lazy,
                     selectors._pools(240, pools, 3),
                 )
             with pytest.raises(RuntimeError, match="exhausted"):

@@ -128,6 +128,18 @@ class TestBuildGraph:
             build_graph(emb, -0.9, block_size=100, edge_cap=1000)
         assert calls == [((0, 100), (0, 100))]
 
+    def test_edge_cap_counts_every_stored_entry(self, monkeypatch):
+        # 250 rows in blocks of 100 make 6 block pairs, none skipped on
+        # Gaussian rows; the cap trips only once the last pair is counted.
+        emb = np.random.default_rng(3).standard_normal((250, 8))
+        edges = build_graph(emb, 0.3, block_size=100).num_edges
+        graph = build_graph(emb, 0.3, block_size=100, edge_cap=edges)
+        assert graph.num_edges == edges and graph.block_pairs_skipped == 0
+        calls = counted_pair_edges(monkeypatch)
+        with pytest.raises(GuardError, match="edge cap"):
+            build_graph(emb, 0.3, block_size=100, edge_cap=edges - 1)
+        assert [args[2:] for args in calls] == block_pairs(250, 100)
+
     def test_raising_tau_never_adds_edges(self):
         rng = np.random.default_rng(7)
         emb = rng.standard_normal((60, 5))
