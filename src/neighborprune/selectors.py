@@ -4,7 +4,9 @@ The flagship selector greedily maximizes the total utility of neighborhood
 confidence: at each step it adds the example with the largest marginal gain
 (own-term by default, exact objective increment as an option), then folds
 the pick's weighted confidence into its neighbors' running totals. A
-class-balanced variant round-robins the same step over per-class pools.
+class-balanced variant round-robins the same step over per-class pools:
+each loop, lazy or eager, gives one generator of picks per pool, and one
+round-robin drives them.
 run_selection is the only way to run the greedy, lazy or eager, plain or
 class-balanced, so every run passes its input checks. The eager loop
 rescans every unselected candidate of a pool at each pick; for paper gains
@@ -199,7 +201,7 @@ def load_selected(path) -> np.ndarray:
 # Greedy neighborhood-confidence selection
 # ---------------------------------------------------------------------------
 
-class _EagerPools:
+def _eager_turns(state, pools, utility, gain_mode) -> list:
     """The eager greedy: every pick scores every unselected member of its
     pool, so each step is a full candidate scan.
 
@@ -215,65 +217,46 @@ class _EagerPools:
     neighborhood, so exact mode scores the unselected members with the
     array gain instead.
     """
+    gains_of = None if gain_mode == "paper_faithful" else GAINS[gain_mode][1]
+    order = np.concatenate(pools).astype(np.intp)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    nbr = state.nbr_conf[order]
+    u = np.array(utility(nbr))  # a copy: identity returns its input
+    taken = np.zeros(order.size, dtype=np.bool_)
+    layout = (nbr, state.conf[order], u, taken, order)
+    bounds = np.cumsum([0] + [pool.size for pool in pools]).tolist()
+    seen = 0  # picks already folded into the layout
 
-    def __init__(self, state, pools, utility, gain_mode):
-        self.state = state
-        self.utility = utility
-        self.gains_of = None if gain_mode == "paper_faithful" else GAINS[gain_mode][1]
-        order = np.concatenate(pools).astype(np.intp)
-        self.rank = np.empty_like(order)
-        self.rank[order] = np.arange(order.size)
-        self.nbr = state.nbr_conf[order]
-        self.u = np.array(utility(self.nbr))  # a copy: identity returns its input
-        self.taken = np.zeros(order.size, dtype=np.bool_)
-        layout = (self.nbr, state.conf[order], self.u, self.taken, order)
-        bounds = np.cumsum([0] + [pool.size for pool in pools]).tolist()
-        # Per pool: views of nbr_conf, C, u, the selected flags and the members.
-        self.views = [tuple(a[lo:hi] for a in layout) for lo, hi in zip(bounds, bounds[1:])]
-        self.left = [pool.size for pool in pools]  # unselected members
-        self.seen = 0  # picks already folded into the layout
+    def turns(p_nbr, p_conf, p_u, p_taken, pool):
+        # Views of nbr_conf, C, u, the selected flags and the members.
+        nonlocal seen
+        for _ in range(pool.size):
+            for x in state.selected[seen:]:
+                idx = state.graph.neighbors(x)[0]
+                at, values = rank[idx], state.nbr_conf[idx]
+                nbr[at] = values
+                u[at] = utility(values)
+                taken[rank[x]] = True
+            seen = len(state.selected)
+            if gains_of is None:
+                gains = utility(p_nbr + p_conf)
+                gains -= p_u
+                np.maximum(gains, 0.0, out=gains)
+                gains[p_taken] = -1.0
+                yield int(pool[gains.argmax()])
+            else:
+                cands = pool[~p_taken]
+                yield int(cands[int(np.argmax(gains_of(state, cands, utility)))])
 
-    def pick(self, pi: int) -> int | None:
-        """Pool pi's next pick, which the caller adds; None once it is empty."""
-        state = self.state
-        for x in state.selected[self.seen:]:
-            idx = state.graph.neighbors(x)[0]
-            at, values = self.rank[idx], state.nbr_conf[idx]
-            self.nbr[at] = values
-            self.u[at] = self.utility(values)
-            self.taken[self.rank[x]] = True
-        self.seen = len(state.selected)
-        if not self.left[pi]:
-            return None
-        self.left[pi] -= 1
-        nbr, conf, u, taken, pool = self.views[pi]
-        if self.gains_of is None:
-            gains = self.utility(nbr + conf)
-            gains -= u
-            np.maximum(gains, 0.0, out=gains)
-            gains[taken] = -1.0
-            return int(pool[gains.argmax()])
-        cands = pool[~taken]
-        return int(cands[int(np.argmax(self.gains_of(state, cands, self.utility)))])
+    return [turns(*(a[lo:hi] for a in layout)) for lo, hi in zip(bounds, bounds[1:])]
 
 
 # Entries a lazy pick takes off a pool's heap at once.
 _BATCH = 128
 
 
-@dataclass
-class _PoolHeap:
-    """A pool's heap entries, split at the cut: a batch, kept as a heap of
-    entries all at least the cut when taken, and the rest, a heap of
-    entries all below it."""
-
-    rest: list
-    batch: list = field(default_factory=list)
-    neg_cut: float = 0.0
-    cached: dict = field(default_factory=dict)  # member -> its latest gain
-
-
-class _LazyPools:
+def _lazy_turns(state, pools, utility, gain_mode) -> list:
     """The lazy greedy: one max-heap of (-gain, index) entries per candidate
     pool. A pick refreshes the top entry's gain: if the entry's key equals
     it, the entry is the pick, and otherwise it goes back with the refreshed
@@ -284,12 +267,15 @@ class _LazyPools:
     refresh leaves its key unchanged goes back on top and comes straight
     out again.
 
-    The pops are replayed in batches. A batch is a pool's _BATCH best
-    entries plus every entry tied with the last, whose gain is the cut, and
-    their gains are computed in one array call. Every other entry of the
-    pool is below the cut, so while the batch's top entry is at least the
-    cut, it is the pool's top and the batch replays the pool's own steps.
-    A pool keeps its batch from one of its turns to the next.
+    The pops are replayed in batches. A pool's entries are split at the
+    cut: a batch, kept as a heap of entries all at least the cut when
+    taken, and the rest, a heap of entries all below it. A batch is a
+    pool's _BATCH best entries plus every entry tied with the last, whose
+    gain is the cut, and their gains are computed in one array call. Every
+    other entry of the pool is below the cut, so while the batch's top entry
+    is at least the cut, it is the pool's top and the batch replays the
+    pool's own steps. A pool keeps its batch from one of its turns to the
+    next.
 
     A refresh reads the kept gain while current[x] holds and computes it
     again otherwise. Computing x's gain sets current[x], and a pick clears
@@ -299,60 +285,46 @@ class _LazyPools:
     the graph is symmetric). A gain recomputed from unchanged inputs is
     bit-identical to the kept one, so clearing more costs work, never a pick.
     """
+    gain_of, gains_of = GAINS[gain_mode]
+    two_hops = gain_mode == "exact_marginal"
+    # current[x]: x's kept gain is up to date (pools are disjoint).
+    current = np.zeros(state.graph.num_rows, dtype=np.bool_)
 
-    def __init__(self, state, pools, utility, gain_mode):
-        self.state = state
-        self.utility = utility
-        self.gain_of, self.gains_of = GAINS[gain_mode]
-        self.two_hops = gain_mode == "exact_marginal"
-        # current[x]: x's kept gain is up to date (pools are disjoint).
-        self.current = np.zeros(state.graph.num_rows, dtype=np.bool_)
-        self.pools = []
-        for pool in pools:
-            gains = self.gains_of(state, pool, utility)
-            heap = list(zip((-gains).tolist(), pool.tolist()))
-            heapq.heapify(heap)
-            self.pools.append(_PoolHeap(heap))
-
-    def pick(self, pi: int) -> int | None:
-        """Pool pi's next pick, which the caller adds; None once it is empty."""
-        p = self.pools[pi]
-        state, current = self.state, self.current
-        batch, cached = p.batch, p.cached
+    def turns(pool, pool_gains):
+        rest = list(zip((-pool_gains).tolist(), pool.tolist()))
+        heapq.heapify(rest)
+        batch, neg_cut, cached = [], 0.0, {}  # cached: member -> its latest gain
         while True:
-            if not batch or batch[0][0] > p.neg_cut:
-                self._next_batch(p)
-                batch, cached = p.batch, p.cached
+            if not batch or batch[0][0] > neg_cut:
+                for entry in batch:
+                    heapq.heappush(rest, entry)
+                # Sorted, so a heap.
+                batch = [heapq.heappop(rest) for _ in range(min(_BATCH, len(rest)))]
+                while rest and rest[0][0] == batch[-1][0]:
+                    batch.append(heapq.heappop(rest))
                 if not batch:
-                    return None
+                    return
+                neg_cut = batch[-1][0]
+                members = np.array([x for _, x in batch], dtype=np.intp)
+                gains = gains_of(state, members, utility)
+                cached = dict(zip(members.tolist(), gains.tolist()))
+                current[members] = True
             key, x = batch[0]
             if not current[x]:
-                cached[x] = self.gain_of(state, x, self.utility)
+                cached[x] = gain_of(state, x, utility)
                 current[x] = True
             if key == -cached[x]:
                 heapq.heappop(batch)
                 reach, _ = state.graph.neighbors(x)
-                if self.two_hops:
+                if two_hops:
                     reach = state.graph.indices[state.graph.entries(reach)[0]]
                 current[reach] = False
-                return x
-            heapq.heapreplace(batch, (-cached[x], x))
+                yield x
+            else:
+                heapq.heapreplace(batch, (-cached[x], x))
 
-    def _next_batch(self, p: _PoolHeap) -> None:
-        rest = p.rest
-        for entry in p.batch:
-            heapq.heappush(rest, entry)
-        batch = [heapq.heappop(rest) for _ in range(min(_BATCH, len(rest)))]
-        while rest and rest[0][0] == batch[-1][0]:
-            batch.append(heapq.heappop(rest))
-        p.batch = batch  # sorted, so a heap
-        if not batch:
-            return
-        p.neg_cut = batch[-1][0]
-        members = np.array([x for _, x in batch], dtype=np.intp)
-        gains = self.gains_of(self.state, members, self.utility)
-        p.cached = dict(zip(members.tolist(), gains.tolist()))
-        self.current[members] = True
+    # Every pool's gains are computed here, before the first pick changes them.
+    return [turns(pool, gains_of(state, pool, utility)) for pool in pools]
 
 
 def _greedy_core(
@@ -364,20 +336,24 @@ def _greedy_core(
     lazy: bool,
     pools: list[np.ndarray],
 ) -> SelectionState:
+    """Round-robin the greedy step over the pools. _lazy_turns or
+    _eager_turns gives one generator per pool; each yields its pool's next
+    pick, which is added here before the generator resumes, and ends once
+    the pool is empty."""
     state = SelectionState(graph, confidence)
-    picker = (_LazyPools if lazy else _EagerPools)(state, pools, utility, gain_mode)
-    while True:
-        progressed = False
-        for pi in range(len(pools)):
-            x = picker.pick(pi)
+    turns = (_lazy_turns if lazy else _eager_turns)(state, pools, utility, gain_mode)
+    while turns:
+        live = []
+        for t in turns:
+            x = next(t, None)
             if x is None:
                 continue
             state.add(x)
-            progressed = True
             if len(state.selected) == s:
                 return state
-        if not progressed:
-            raise RuntimeError("candidate pools exhausted before reaching the budget")
+            live.append(t)
+        turns = live
+    raise RuntimeError("candidate pools exhausted before reaching the budget")
 
 
 def _pools(m: int, labels, num_classes: int | None) -> list[np.ndarray]:

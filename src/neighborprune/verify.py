@@ -340,6 +340,7 @@ DEFAULT_TAUS = (0.3, 0.7, 0.95)
 INSTANCE_M_LO = 4  # the smallest random probe instance
 INSTANCE_M_HI = 14  # the largest, small enough for a brute-force optimum
 BOUND_S_HI = 7  # the largest budget of the approximation-bound check
+LAZY_EAGER_M_HI = 2000  # every tenth lazy/eager instance draws m in [M_HI/2, M_HI]
 
 
 def _random_instance(rng: np.random.Generator) -> tuple[NeighborGraph, np.ndarray]:
@@ -456,9 +457,7 @@ def _greedy(graph, conf, s, method="prune4rel", labels=None, **config) -> list[i
     return run_selection(config, noisy_labels=labels, confidence=conf, graph=graph).selected
 
 
-def check_lazy_eager_equivalence(
-    instances: int = 100, seed: int = 20240504, m_hi: int = 2000
-) -> CheckResult:
+def check_lazy_eager_equivalence(instances: int = 100, seed: int = 20240504) -> CheckResult:
     """Lazy and eager greedy must produce identical selection sequences for
     both gain modes.
 
@@ -472,7 +471,7 @@ def check_lazy_eager_equivalence(
     mismatches = 0
     for k in range(instances):
         if k % 10 == 9:
-            m = int(rng.integers(m_hi // 2, m_hi + 1))
+            m = int(rng.integers(LAZY_EAGER_M_HI // 2, LAZY_EAGER_M_HI + 1))
             tau = float(rng.choice([0.7, 0.95]))
             d = 32
         else:
@@ -572,11 +571,11 @@ TREND_SYNTH = dict(
 TREND_TAU = 0.9725
 TREND_BINS = 15  # confidence bins of the correction trend
 TREND_BOTTOM_BINS = 10  # the low bins whose correction rate must not fall
+TREND_BUDGET = 0.2  # the selection ratio of the correction trend
+TREND_RATIOS = (0.2, 0.4, 0.6, 0.8)  # the budgets of the noise-ratio trend
 
 
-def trend_correction_correlation(
-    seed: int = 20240507, budget: float = 0.2
-) -> CheckResult:
+def trend_correction_correlation(seed: int = 20240507) -> CheckResult:
     """On clustered noisy data, proxy-corrected examples must concentrate at
     high neighborhood confidence: Spearman rho above 0.5, correction rate
     non-decreasing across the bottom bins, and a higher mean confidence for
@@ -584,7 +583,7 @@ def trend_correction_correlation(
     data = generate_synthetic(SynthConfig(seed=seed, **TREND_SYNTH))
     conf = compute_confidence(data.probabilities, "max_prob")
     graph = build_graph(data.embeddings, TREND_TAU)
-    config = SelectorConfig(method="prune4rel", budget=budget, tau=TREND_TAU)
+    config = SelectorConfig(method="prune4rel", budget=TREND_BUDGET, tau=TREND_TAU)
     report = run_selection(config, confidence=conf, graph=graph)
 
     state = SelectionState(graph, conf)
@@ -628,9 +627,7 @@ def trend_correction_correlation(
     )
 
 
-def trend_subset_noise_ratio(
-    seed: int = 20240508, ratios=(0.2, 0.4, 0.6, 0.8)
-) -> CheckResult:
+def trend_subset_noise_ratio(seed: int = 20240508) -> CheckResult:
     """The selected subset's noise ratio must grow with the budget and sit
     below the population noise rate at the smallest budget."""
     data = generate_synthetic(SynthConfig(seed=seed, **TREND_SYNTH))
@@ -638,8 +635,8 @@ def trend_subset_noise_ratio(
     graph = build_graph(data.embeddings, TREND_TAU)
     population = float(np.mean(data.noisy_labels != data.ground_truth_labels))
     observed = []
-    for ratio in ratios:
-        config = SelectorConfig(method="prune4rel", budget=float(ratio), tau=TREND_TAU)
+    for ratio in TREND_RATIOS:
+        config = SelectorConfig(method="prune4rel", budget=ratio, tau=TREND_TAU)
         report = run_selection(
             config,
             noisy_labels=data.noisy_labels,
@@ -655,9 +652,9 @@ def trend_subset_noise_ratio(
         ok=ok,
         detail=(
             f"noise ratios {[round(v, 4) for v in observed]} over budgets "
-            f"{list(ratios)}, population {population:.3f}"
+            f"{list(TREND_RATIOS)}, population {population:.3f}"
         ),
-        data={"ratios": list(ratios), "observed": observed, "population": population},
+        data={"ratios": list(TREND_RATIOS), "observed": observed, "population": population},
     )
 
 

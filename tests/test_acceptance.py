@@ -83,7 +83,7 @@ def test_criterion_03_hand_traced_selection():
 
 def test_criterion_04_lazy_equals_eager():
     start = time.perf_counter()
-    result = check_lazy_eager_equivalence(instances=100, m_hi=2000)
+    result = check_lazy_eager_equivalence(instances=100)
     elapsed = time.perf_counter() - start
     assert result.data["mismatches"] == 0, result.detail
     assert elapsed < 120.0
@@ -104,7 +104,7 @@ def test_criterion_06_class_balance():
 
 def test_criterion_07_correction_confidence_trend():
     start = time.perf_counter()
-    result = trend_correction_correlation(budget=0.2)
+    result = trend_correction_correlation()
     elapsed = time.perf_counter() - start
     assert result.data["spearman"] > 0.5, result.detail
     rates = np.asarray(result.data["rates"][:10])
@@ -116,7 +116,7 @@ def test_criterion_07_correction_confidence_trend():
 
 
 def test_criterion_08_subset_noise_ratio_trend():
-    result = trend_subset_noise_ratio(ratios=(0.2, 0.4, 0.6, 0.8))
+    result = trend_subset_noise_ratio()
     observed = result.data["observed"]
     assert all(b >= a for a, b in zip(observed, observed[1:])), result.detail
     assert observed[0] < result.data["population"], result.detail

@@ -107,6 +107,27 @@ class TestSynth:
         assert capsys.readouterr().err.startswith("E_ARG:")
         assert not out.exists() or not any(out.iterdir())
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--noise", "1"], ["--noise", "-0.1"], ["--noise", "nan"],
+         ["--classes", "0"], ["--classes", "1", "--noise-model", "symmetric"]],
+    )
+    def test_impossible_dataset_is_arg_error_before_writing(self, tmp_path, capsys, flags):
+        out = tmp_path / "sy"
+        code = main(["synth", "--classes", "3", "--per-class", "10", *flags,
+                     "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("E_ARG:")
+        assert not out.exists()
+
+    def test_one_class_has_certain_probabilities(self, tmp_path):
+        out = tmp_path / "sy"
+        code = main(["synth", "--classes", "1", "--per-class", "10", "--dim", "4",
+                     "--out", str(out)])
+        assert code == 0
+        probs = load_matrix(out / "probabilities.bin")
+        assert probs.shape == (10, 1) and np.all(probs == 1.0)
+
 
 class TestPrune:
     def test_ratio_budget_line_count(self, synth_dir, tmp_path):
@@ -155,6 +176,28 @@ class TestPrune:
         )
         assert code == 2
         assert "E_ARG" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags", [["--size", "0"], ["--size", "201"], ["--ratio", "0.001"]]
+    )
+    def test_budget_outside_one_to_m_is_arg_error(self, synth_dir, tmp_path, capsys, flags):
+        out = tmp_path / "run"
+        code = run_prune(synth_dir, out, "--method", "uniform", *flags)
+        assert code == 2
+        assert capsys.readouterr().err.startswith("E_ARG:")
+        assert not (out / "selected.txt").exists()
+
+    def test_bad_score_line_names_file_and_line(self, synth_dir, tmp_path, capsys):
+        scores_path = tmp_path / "scores.txt"
+        scores_path.write_text("0.5\n0.25\nhigh\n")
+        code = run_prune(
+            synth_dir, tmp_path / "run", "--method", "forgetting", "--size", "3",
+            "--scores", str(scores_path),
+        )
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("E_FORMAT:")
+        assert f"{scores_path}: line 3: not a number" in err
 
     def test_preset_sets_tau(self, synth_dir, tmp_path):
         out = tmp_path / "run"
@@ -585,6 +628,47 @@ class TestEval:
         assert code == 3
         assert err.startswith("E_FORMAT:") and f"{sel_path}: line 2:" in err
 
+    def test_duplicate_index_is_format_error(self, synth_dir, tmp_path, capsys):
+        sel_path = tmp_path / "sel.txt"
+        sel_path.write_text("3\n1\n3\n")
+        code = main(
+            ["eval", "--selected", str(sel_path),
+             "--noisy-labels", str(synth_dir / "noisy_labels.txt")]
+        )
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.err.startswith("E_FORMAT:") and "duplicate indices" in captured.err
+        assert captured.out == ""
+
+    def test_label_files_of_different_lengths_are_format_error(
+        self, synth_dir, tmp_path, capsys
+    ):
+        sel_path = tmp_path / "sel.txt"
+        sel_path.write_text("0\n1\n")
+        truth_path = tmp_path / "truth.txt"
+        truth_path.write_text("0\n" * 199)
+        code = main(
+            ["eval", "--selected", str(sel_path),
+             "--noisy-labels", str(synth_dir / "noisy_labels.txt"),
+             "--true-labels", str(truth_path)]
+        )
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.err.startswith("E_FORMAT:") and "disagree on length" in captured.err
+        assert captured.out == ""
+
+    def test_bad_label_line_names_file_and_line(self, tmp_path, capsys):
+        sel_path = tmp_path / "sel.txt"
+        sel_path.write_text("0\n")
+        labels_path = tmp_path / "labels.txt"
+        labels_path.write_text("0\n1\n\n1.5\n")
+        code = main(
+            ["eval", "--selected", str(sel_path), "--noisy-labels", str(labels_path)]
+        )
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("E_FORMAT:") and f"{labels_path}: line 4: not an integer" in err
+
     def test_error_names_the_negative_index(self, tmp_path, capsys):
         sel_path = tmp_path / "sel.txt"
         sel_path.write_text("0\n-1\n")
@@ -625,6 +709,25 @@ class TestVerifyCommand:
         for k, (check, count) in enumerate(direct):
             result = check(seed=20240501 + k + 2, **count)
             assert summary[result.name]["detail"] == result.detail
+
+    def test_trend_writes_the_correlation_csv(self, tmp_path, monkeypatch, capsys):
+        def cheap_trend(seed):
+            rng = np.random.default_rng(seed)
+            nbr_conf = rng.uniform(0, 5, 300)
+            report = verify_mod.correlation_report(
+                nbr_conf, rng.random(300) < nbr_conf / 5, verify_mod.TREND_BINS
+            )
+            return verify_mod.CheckResult("cheap_trend", True, "ok", {"report": report})
+
+        monkeypatch.setattr(verify_mod, "SUITE", (("trend", cheap_trend, None),))
+        out = tmp_path / "trend.json"
+        assert main(["verify", "--preset", "trend", "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert json.loads(out.read_text()) == {"cheap_trend": {"ok": True, "detail": "ok"}}
+        lines = (tmp_path / "trend.correlation.csv").read_text().splitlines()
+        assert lines[0] == "bin_lo,bin_hi,count,correction_rate"
+        assert len(lines) == 1 + 15
+        assert sum(int(line.split(",")[2]) for line in lines[1:]) == 300
 
     @pytest.mark.parametrize(
         "flags",

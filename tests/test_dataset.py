@@ -1,5 +1,6 @@
 import math
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -57,6 +58,23 @@ class TestMatrixContainer:
         path = tmp_path / "m.bin"
         path.write_bytes(b"XXXX" + b"\x00" * 16)
         with pytest.raises(FormatError, match="magic"):
+            load_matrix(path, "binary")
+
+    def test_truncated_header(self, tmp_path):
+        path = tmp_path / "m.bin"
+        path.write_bytes(b"NBPR" + b"\x01\x00\x00\x00" + b"\x00" * 6)
+        message = f"{path}: truncated header (14 bytes)"
+        with pytest.raises(FormatError, match=re.escape(message)):
+            load_matrix(path, "binary")
+
+    def test_unsupported_version(self, tmp_path):
+        path = tmp_path / "m.bin"
+        save_matrix(path, np.ones((2, 3)))
+        blob = bytearray(path.read_bytes())
+        blob[4:8] = struct.pack("<I", 2)
+        path.write_bytes(bytes(blob))
+        message = f"{path}: unsupported container version 2"
+        with pytest.raises(FormatError, match=re.escape(message)):
             load_matrix(path, "binary")
 
     def test_truncated_payload(self, tmp_path):

@@ -285,7 +285,7 @@ class TestProbeDrivers:
         assert result.ok, result.detail
 
     def test_lazy_eager_smoke(self):
-        result = check_lazy_eager_equivalence(instances=12, seed=103, m_hi=400)
+        result = check_lazy_eager_equivalence(instances=12, seed=103)
         assert result.ok, result.detail
 
     def test_degenerate_smoke(self):
