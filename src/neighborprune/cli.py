@@ -49,6 +49,7 @@ from .selectors import (
     requirement_error,
     resolve_budget,
     run_selection,
+    subset_stats,
     write_selected,
 )
 from .similarity import DEFAULT_EDGE_CAP, GuardError, build_graph
@@ -131,6 +132,14 @@ _methods = _checked(_method_list, bool, "comma-separated names from "
                     + ", ".join(verify_mod.SCALING_METHODS))
 
 
+def _can_be_dir(text: str) -> bool:  # its nearest existing ancestor is a directory
+    path = Path(text)
+    return next(p for p in (path, *path.parents) if p.exists()).is_dir()
+
+
+_out_dir = _checked(str, _can_be_dir, "a directory or a path below one")
+
+
 def _input_digests(paths: dict[str, str | None]) -> dict[str, str]:
     return {
         name: hashlib.blake2b(Path(path).read_bytes(), digest_size=8).hexdigest()
@@ -208,7 +217,7 @@ def _add_prune_parser(sub) -> None:
         help="no effect; OPENBLAS_NUM_THREADS caps the graph build's BLAS threads",
     )
     p.add_argument("--max-edges", type=_at_least(1), default=DEFAULT_EDGE_CAP)
-    p.add_argument("--out", required=True, help="output directory")
+    p.add_argument("--out", type=_out_dir, required=True, help="output directory")
 
 
 def _peak_rss_mb() -> float | None:
@@ -242,9 +251,7 @@ def cmd_prune(args) -> int:
     embeddings = load_matrix(args.embeddings, args.embeddings_format)
     noisy_labels = load_labels(args.labels) if args.labels else None
     scores = load_scores(args.scores) if args.scores else None
-    probabilities = None
-    if args.probs:
-        probabilities = load_probabilities(args.probs, args.probs_format)
+    probabilities = load_probabilities(args.probs, args.probs_format) if args.probs else None
     confidence = None
     if needs_graph:
         if args.confidence_metric == "external":
@@ -267,8 +274,7 @@ def cmd_prune(args) -> int:
         seed=args.seed,
     )
 
-    graph = None
-    graph_build_s = 0.0
+    graph, graph_build_s = None, 0.0
     if needs_graph:
         start = time.perf_counter()
         graph = build_graph(embeddings, tau, edge_cap=args.max_edges)
@@ -328,20 +334,14 @@ def cmd_eval(args) -> int:
     noisy = load_labels(args.noisy_labels)
     outside = selected[(selected < 0) | (selected >= noisy.size)]
     if outside.size:
-        raise FormatError(
-            f"{args.selected}: index {int(outside[0])} out of range "
-            f"for {noisy.size} labels"
-        )
+        raise FormatError(f"{args.selected}: index {int(outside[0])} out of range "
+                          f"for {noisy.size} labels")
     if selected.size != np.unique(selected).size:
         raise FormatError(f"{args.selected}: duplicate indices")
-    num_classes = int(noisy.max()) + 1
-    per_class = np.bincount(noisy[selected], minlength=num_classes).tolist()
-    noise_ratio = None
-    if args.true_labels:
-        truth = load_labels(args.true_labels)
-        if truth.size != noisy.size:
-            raise FormatError("label files disagree on length")
-        noise_ratio = float(np.mean(noisy[selected] != truth[selected]))
+    truth = load_labels(args.true_labels) if args.true_labels else None
+    if truth is not None and truth.size != noisy.size:
+        raise FormatError("label files disagree on length")
+    per_class, noise_ratio = subset_stats(selected, noisy, truth)
     result = {
         "selected_count": int(selected.size),
         "per_class_counts": per_class,
@@ -384,7 +384,7 @@ def _add_synth_parser(sub) -> None:
     p.add_argument("--noisy-conf-mean", type=float, default=0.35)
     p.add_argument("--noisy-conf-std", type=float, default=0.1)
     p.add_argument("--seed", type=_at_least(0), default=0)
-    p.add_argument("--out", required=True, help="output directory")
+    p.add_argument("--out", type=_out_dir, required=True, help="output directory")
 
 
 def cmd_synth(args) -> int:
@@ -538,13 +538,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        handler = {
-            "prune": cmd_prune,
-            "eval": cmd_eval,
-            "synth": cmd_synth,
-            "verify": cmd_verify,
-            "bench": cmd_bench,
-        }[args.command]
+        handler = {"prune": cmd_prune, "eval": cmd_eval, "synth": cmd_synth,
+                   "verify": cmd_verify, "bench": cmd_bench}[args.command]
         return handler(args)
     except CliError as exc:
         print(f"E_ARG: {exc}", file=sys.stderr)
@@ -552,7 +547,7 @@ def main(argv=None) -> int:
     except GuardError as exc:
         print(f"E_GUARD: {exc}", file=sys.stderr)
         return 4
-    except (ValueError, FileNotFoundError) as exc:  # FormatError is a ValueError
+    except (ValueError, OSError) as exc:  # FormatError is a ValueError
         print(f"E_FORMAT: {exc}", file=sys.stderr)
         return 3
 

@@ -150,11 +150,19 @@ def read_values(path: str | Path, parse, what: str) -> list:
     return values
 
 
-def _label(text: str) -> int:
+def parse_int64(text: str) -> int:
+    """A line's integer, which must fit in int64."""
     try:
         value = int(text)
     except ValueError:
         raise ValueError("not an integer") from None
+    if not -2**63 <= value < 2**63:
+        raise ValueError(f"{value} does not fit in a 64-bit integer")
+    return value
+
+
+def _label(text: str) -> int:
+    value = parse_int64(text)
     if value < 0:
         raise ValueError(f"negative label {value}")
     return value

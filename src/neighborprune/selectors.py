@@ -44,7 +44,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import compute_confidence, compute_small_loss_scores, read_values
+from .dataset import compute_confidence, compute_small_loss_scores, parse_int64, read_values
 from .objective import (
     SelectionState,
     Utility,
@@ -194,7 +194,18 @@ def write_selected(path, selected: Sequence[int]) -> None:
 
 def load_selected(path) -> np.ndarray:
     """Indices written by write_selected, in selection order."""
-    return np.array(read_values(path, int, "selection"), dtype=np.int64)
+    return np.array(read_values(path, parse_int64, "selection"), dtype=np.int64)
+
+
+def subset_stats(selected, noisy_labels: np.ndarray, ground_truth_labels=None):
+    """per_class_counts and noise_ratio of a selection: one count per class id
+    from 0 to the largest noisy label, and the share of selected examples
+    whose noisy label is not their ground truth (None without ground truth)."""
+    sel = np.asarray(selected, dtype=np.int64)
+    counts = np.bincount(noisy_labels[sel], minlength=int(noisy_labels.max()) + 1).tolist()
+    if ground_truth_labels is None:
+        return counts, None
+    return counts, float(np.mean(noisy_labels[sel] != ground_truth_labels[sel]))
 
 
 # ---------------------------------------------------------------------------
@@ -356,11 +367,13 @@ def _greedy_core(
     raise RuntimeError("candidate pools exhausted before reaching the budget")
 
 
-def _pools(m: int, labels, num_classes: int | None) -> list[np.ndarray]:
-    """One candidate pool of all m examples, or one pool per class of labels."""
+def _pools(m: int, labels) -> list[np.ndarray]:
+    """One candidate pool of all m examples, or the members of each class
+    present in labels, in class order, each in index order."""
     if labels is None:
         return [np.arange(m, dtype=np.int64)]
-    return [np.flatnonzero(labels == j).astype(np.int64) for j in range(num_classes)]
+    order = np.argsort(labels, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -458,22 +471,18 @@ def select_kcenter_greedy(
     return selected
 
 
-def select_moderate(embeddings: np.ndarray, noisy_labels: np.ndarray, s: int | float,
-                    num_classes: int | None = None) -> list[int]:
+def select_moderate(embeddings: np.ndarray, noisy_labels: np.ndarray,
+                    s: int | float) -> list[int]:
     """Examples whose distance to their class centroid is closest to the
     class's median distance come first."""
     emb = np.asarray(embeddings, dtype=np.float64)
     labels = np.asarray(noisy_labels, dtype=np.int64)
     m = emb.shape[0]
     s = resolve_budget(s, m)
-    c = int(num_classes) if num_classes else int(labels.max(initial=0)) + 1
-    if labels.shape != (m,) or labels.min(initial=0) < 0 or labels.max(initial=0) >= c:
-        raise ValueError(f"noisy_labels must be {m} class indices in [0, {c})")
+    if labels.shape != (m,) or labels.min(initial=0) < 0:
+        raise ValueError(f"noisy_labels must be {m} class indices, none negative")
     deviation = np.empty(m, dtype=np.float64)
-    for j in range(c):
-        members = np.flatnonzero(labels == j)
-        if members.size == 0:
-            raise ValueError(f"class {j} has no examples")
+    for members in _pools(m, labels):
         centroid = emb[members].mean(axis=0)
         dists = np.linalg.norm(emb[members] - centroid, axis=1)
         deviation[members] = np.abs(dists - np.median(dists))
@@ -489,7 +498,6 @@ def run_selection(
     *,
     embeddings: np.ndarray | None = None,
     noisy_labels: np.ndarray | None = None,
-    num_classes: int | None = None,
     probabilities: np.ndarray | None = None,
     confidence=None,
     scores=None,
@@ -500,7 +508,8 @@ def run_selection(
     """Run any selection method from loose inputs and produce a full report.
 
     prune4rel draws from all examples; prune4rel_balanced round-robins the
-    greedy step over the classes of noisy_labels, skipping exhausted ones.
+    greedy step over the classes present in noisy_labels, skipping
+    exhausted ones.
     Raises ValueError naming the missing inputs for the chosen method
     (METHOD_TABLE lists what each method reads).
     """
@@ -518,20 +527,12 @@ def run_selection(
         raise ValueError(problem)
     if noisy_labels is not None:
         noisy_labels = np.asarray(noisy_labels, dtype=np.int64)
-        if not num_classes:
-            num_classes = int(noisy_labels.max(initial=-1)) + 1
     if ground_truth_labels is not None:
         ground_truth_labels = np.asarray(ground_truth_labels, dtype=np.int64)
-    sized = [
-        arr
-        for arr in (embeddings, probabilities, noisy_labels, ground_truth_labels)
-        if arr is not None
-    ]
     if confidence is not None:
         confidence = confidence_values(confidence)
-        sized.append(confidence)
-    if scores is not None:
-        sized.append(np.asarray(scores))
+    sized = [arr for arr in (embeddings, probabilities, noisy_labels, ground_truth_labels,
+                             confidence, scores) if arr is not None]
     if not sized:
         raise ValueError("no inputs provided to infer the dataset size from")
     m = len(sized[0])
@@ -542,10 +543,8 @@ def run_selection(
         ("noisy_labels", noisy_labels),
         ("ground_truth_labels", ground_truth_labels),
     ):
-        if labels is not None and labels.size and (
-            labels.min() < 0 or (num_classes and labels.max() >= num_classes)
-        ):
-            raise ValueError(f"{what} contains a value outside [0, {num_classes})")
+        if labels is not None and labels.min(initial=0) < 0:
+            raise ValueError(f"{what} contains a negative class id")
 
     s = resolve_budget(config.budget, m)
     spec = METHOD_TABLE[method]
@@ -559,7 +558,7 @@ def run_selection(
                 f"graph was built with tau={graph.tau}, config says {config.tau}"
             )
         balanced = method == "prune4rel_balanced"
-        pools = _pools(m, noisy_labels if balanced else None, num_classes)
+        pools = _pools(m, noisy_labels if balanced else None)
         state = _greedy_core(
             graph, confidence, s, config.utility, config.gain_mode, config.lazy, pools
         )
@@ -575,15 +574,12 @@ def run_selection(
     elif method == "kcenter_greedy":
         selected = select_kcenter_greedy(embeddings, s, config.seed)
     else:
-        selected = select_moderate(embeddings, noisy_labels, s, num_classes)
+        selected = select_moderate(embeddings, noisy_labels, s)
     selection_s = time.perf_counter() - start
 
     per_class = noise_ratio = None
     if noisy_labels is not None:
-        sel = np.asarray(selected, dtype=np.int64)
-        per_class = np.bincount(noisy_labels[sel], minlength=num_classes).tolist()
-        if ground_truth_labels is not None:
-            noise_ratio = float(np.mean(noisy_labels[sel] != ground_truth_labels[sel]))
+        per_class, noise_ratio = subset_stats(selected, noisy_labels, ground_truth_labels)
     return PruneReport(
         selected=selected,
         objective_value=None if state is None else total_objective(state, config.utility),

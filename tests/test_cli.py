@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -9,10 +10,12 @@ import numpy as np
 import pytest
 
 from neighborprune import cli
+from neighborprune import selectors as selectors_mod
 from neighborprune import verify as verify_mod
 from neighborprune.cli import main, method_inputs_help
 from neighborprune.dataset import load_labels, load_matrix, save_labels, save_matrix, save_scores
-from neighborprune.selectors import load_selected
+from neighborprune.selectors import SelectorConfig, load_selected, run_selection
+from neighborprune.similarity import build_graph
 
 
 @pytest.fixture(scope="module")
@@ -931,3 +934,167 @@ class TestParsing:
         code = main(["transmogrify"])
         assert code == 2
         assert "E_ARG" in capsys.readouterr().err
+
+
+class TestClassIds:
+    """Pools, moderate's classes and the subset statistics come from the
+    class ids present; per_class_counts has one count per id from 0 to the
+    largest noisy label."""
+
+    @pytest.mark.parametrize("method", ["prune4rel_balanced", "moderate"])
+    def test_absent_class_ids_select_as_compacted(self, synth_dir, tmp_path, method):
+        compact = load_labels(synth_dir / "noisy_labels.txt") % 2
+        outputs = {}
+        for name, labels in (("compact", compact), ("sparse", compact * 2)):
+            save_labels(tmp_path / f"{name}.txt", labels)
+            code = main(
+                ["prune", "--embeddings", str(synth_dir / "embeddings.bin"),
+                 "--probs", str(synth_dir / "probabilities.bin"),
+                 "--labels", str(tmp_path / f"{name}.txt"), "--method", method,
+                 "--tau", "0.9", "--size", "37", "--out", str(tmp_path / name)]
+            )
+            assert code == 0
+            report = json.loads((tmp_path / name / "report.json").read_text())
+            outputs[name] = ((tmp_path / name / "selected.txt").read_bytes(),
+                             report["per_class_counts"])
+        selected, (zeros, ones) = outputs["compact"]
+        assert outputs["sparse"] == (selected, [zeros, 0, ones])
+
+    def test_far_label_costs_one_pool(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(12)
+        save_matrix(tmp_path / "emb.bin", rng.standard_normal((40, 4)))
+        save_scores(tmp_path / "conf.txt", rng.uniform(0, 1, 40))
+        labels = np.zeros(40, dtype=np.int64)
+        labels[17] = 1_000_000
+        save_labels(tmp_path / "labels.txt", labels)
+        pool_counts = []
+        core = selectors_mod._greedy_core
+
+        def spy(*args):
+            pool_counts.append(len(args[-1]))
+            return core(*args)
+
+        monkeypatch.setattr(selectors_mod, "_greedy_core", spy)
+        code = main(
+            ["prune", "--embeddings", str(tmp_path / "emb.bin"),
+             "--labels", str(tmp_path / "labels.txt"),
+             "--confidence-metric", "external",
+             "--confidence-file", str(tmp_path / "conf.txt"),
+             "--method", "prune4rel_balanced", "--tau", "0.5", "--size", "3",
+             "--out", str(tmp_path / "run")]
+        )
+        assert code == 0
+        assert pool_counts == [2]
+        counts = json.loads((tmp_path / "run" / "report.json").read_text())[
+            "per_class_counts"]
+        assert len(counts) == 1_000_001
+        assert counts[0] == 2 and counts[1_000_000] == 1 and sum(counts) == 3
+
+    def test_eval_matches_the_library_report(self, synth_dir, tmp_path, capsys):
+        noisy = load_labels(synth_dir / "noisy_labels.txt") * 2
+        truth = load_labels(synth_dir / "true_labels.txt") * 2
+        truth[truth == 8] = 9  # a class id the noisy labels never use
+        save_labels(tmp_path / "noisy.txt", noisy)
+        save_labels(tmp_path / "truth.txt", truth)
+        code = main(
+            ["prune", "--embeddings", str(synth_dir / "embeddings.bin"),
+             "--probs", str(synth_dir / "probabilities.bin"),
+             "--labels", str(tmp_path / "noisy.txt"), "--method", "prune4rel_balanced",
+             "--tau", "0.9", "--ratio", "0.3", "--out", str(tmp_path / "run")]
+        )
+        assert code == 0
+        report = run_selection(
+            SelectorConfig("prune4rel_balanced", 0.3, tau=0.9),
+            noisy_labels=noisy, ground_truth_labels=truth,
+            confidence=load_matrix(synth_dir / "probabilities.bin").max(axis=1),
+            graph=build_graph(load_matrix(synth_dir / "embeddings.bin"), 0.9),
+        )
+        assert load_selected(tmp_path / "run" / "selected.txt").tolist() == report.selected
+        capsys.readouterr()
+        for truth_flags, noise_ratio in (([], None),
+                                         (["--true-labels", str(tmp_path / "truth.txt")],
+                                          report.noise_ratio)):
+            code = main(["eval", "--selected", str(tmp_path / "run" / "selected.txt"),
+                         "--noisy-labels", str(tmp_path / "noisy.txt"), *truth_flags])
+            assert code == 0
+            payload = json.loads(capsys.readouterr().out)
+            assert payload["per_class_counts"] == report.per_class_counts
+            assert payload["noise_ratio"] == noise_ratio
+        assert len(report.per_class_counts) == 9 and report.noise_ratio > 0
+
+
+class TestHostileInputs:
+    """Inputs that are directories, an --out that cannot be a directory and
+    integers outside int64 keep their error classes."""
+
+    @pytest.mark.parametrize("flag", ["--embeddings", "--labels"])
+    def test_input_that_is_a_directory_is_format_error(
+        self, synth_dir, tmp_path, capsys, flag
+    ):
+        argv = ["prune", "--embeddings", str(synth_dir / "embeddings.bin"),
+                "--labels", str(synth_dir / "noisy_labels.txt"),
+                "--method", "moderate", "--size", "5", "--out", str(tmp_path / "run")]
+        argv[argv.index(flag) + 1] = str(tmp_path)
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("E_FORMAT:") and str(tmp_path) in err
+
+    @pytest.mark.parametrize("command", ["prune", "synth"])
+    @pytest.mark.parametrize("below", [False, True], ids=["a_file", "below_a_file"])
+    def test_out_that_cannot_be_a_directory_is_arg_error(
+        self, synth_dir, tmp_path, monkeypatch, capsys, command, below
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an input was read")
+
+        monkeypatch.setattr(cli, "load_matrix", refuse)
+        monkeypatch.setattr(cli, "load_labels", refuse)
+        monkeypatch.setattr(verify_mod, "generate_synthetic", refuse)
+        blocker = tmp_path / "taken"
+        blocker.write_text("not a directory\n")
+        out = blocker / "run" / "deeper" if below else blocker
+        rest = {
+            "prune": ["--embeddings", str(synth_dir / "embeddings.bin"),
+                      "--labels", str(synth_dir / "noisy_labels.txt"),
+                      "--method", "moderate", "--size", "5"],
+            "synth": ["--classes", "2", "--per-class", "5"],
+        }[command]
+        code = main([command, *rest, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("E_ARG:") and "--out" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+        assert blocker.read_text() == "not a directory\n"
+
+    HUGE = "99999999999999999999999"
+
+    def test_label_outside_int64_is_format_error(self, synth_dir, tmp_path, capsys):
+        labels = tmp_path / "labels.txt"
+        labels.write_text("0\n1\n" + self.HUGE + "\n" + "0\n" * 197)
+        code = main(
+            ["prune", "--embeddings", str(synth_dir / "embeddings.bin"),
+             "--labels", str(labels), "--method", "moderate", "--size", "5",
+             "--out", str(tmp_path / "run")]
+        )
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("E_FORMAT:") and f"{labels}: line 3:" in err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("flag", ["--noisy-labels", "--selected"])
+    def test_eval_line_outside_int64_is_format_error(
+        self, synth_dir, tmp_path, capsys, flag
+    ):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(f"0\n{self.HUGE}\n")
+        sel = tmp_path / "sel.txt"
+        sel.write_text("0\n1\n")
+        files = {"--selected": str(sel),
+                 "--noisy-labels": str(synth_dir / "noisy_labels.txt")}
+        files[flag] = str(bad)
+        code = main(["eval", *itertools.chain(*files.items())])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.err.startswith("E_FORMAT:") and f"{bad}: line 2:" in captured.err
+        assert captured.out == ""

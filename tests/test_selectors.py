@@ -358,7 +358,7 @@ class TestEagerRescan:
             with pytest.raises(RuntimeError, match="exhausted"):
                 selectors._greedy_core(
                     graph, conf, 241, Utility(), mode, lazy,
-                    selectors._pools(240, pools, 3),
+                    selectors._pools(240, pools),
                 )
             with pytest.raises(RuntimeError, match="exhausted"):
                 scan_picks(graph, conf, 241, mode, pools)
@@ -366,13 +366,20 @@ class TestEagerRescan:
 
 class TestBalancedSelection:
     def balanced(self, labels, conf, s, num_classes):
+        """The report of a balanced run; its per_class_counts hold one count
+        per class id up to the largest label, num_classes of them here."""
         emb = np.random.default_rng(35).standard_normal((len(labels), 4))
         graph = build_graph(emb, 1.0)
         config = SelectorConfig(method="prune4rel_balanced", budget=s, tau=1.0)
-        return run_selection(
-            config, noisy_labels=labels, num_classes=num_classes, confidence=conf,
-            graph=graph,
-        )
+        report = run_selection(config, noisy_labels=labels, confidence=conf, graph=graph)
+        assert len(report.per_class_counts) == num_classes
+        return report
+
+    def test_pools_are_the_classes_present(self):
+        labels = np.array([5, 0, 5, 2, 0, 5])
+        pools = selectors._pools(6, labels)
+        assert [pool.tolist() for pool in pools] == [[1, 4], [3], [0, 2, 5]]
+        assert [pool.tolist() for pool in selectors._pools(3, None)] == [[0, 1, 2]]
 
     def test_even_split_two_classes(self):
         labels = [0, 1] * 6
@@ -584,23 +591,23 @@ class TestModerate:
         labels = [0, 1] * 4
         assert sorted(select_moderate(emb, labels, 8)) == list(range(8))
 
-    def test_empty_class_rejected(self):
-        emb = np.ones((3, 2))
-        with pytest.raises(ValueError, match="class 1"):
-            select_moderate(emb, [0, 0, 2], 3, num_classes=3)
+    def test_absent_class_ids_rank_as_compacted_labels(self):
+        emb = np.random.default_rng(43).standard_normal((9, 3))
+        compact = np.array([0, 1, 0, 1, 1, 0, 0, 1, 0])
+        for sparse in (compact * 2, compact * 1_000_000 + 3):
+            assert select_moderate(emb, sparse, 9) == select_moderate(emb, compact, 9)
 
     # Each of these would leave some row without a class, and so without a
     # deviation to rank it by.
     @pytest.mark.parametrize(
-        "labels, num_classes",
-        [([0, 1], None), ([0, 1, 0, 1, 0, -1], None), ([0, 1, 0, 1, 0, 2], 2),
-         ([[0, 1, 0], [1, 0, 1]], None)],
-        ids=["shorter_than_m", "negative", "at_least_num_classes", "two_dimensional"],
+        "labels",
+        [[0, 1], [0, 1, 0, 1, 0, -1], [[0, 1, 0], [1, 0, 1]]],
+        ids=["shorter_than_m", "negative", "two_dimensional"],
     )
-    def test_labels_must_be_one_class_per_row(self, labels, num_classes):
+    def test_labels_must_be_one_class_per_row(self, labels):
         emb = np.random.default_rng(42).standard_normal((6, 2))
         with pytest.raises(ValueError, match="noisy_labels must be 6 class indices"):
-            select_moderate(emb, labels, 3, num_classes=num_classes)
+            select_moderate(emb, labels, 3)
 
 
 class TestRunSelection:
@@ -713,24 +720,36 @@ class TestRunSelection:
         with pytest.raises(ValueError, match="finite"):
             run_selection(config, scores=np.array([0.5, bad, 0.9]))
 
-    # Each of these would leave a class's examples out of the pools, or
-    # have no pool for a label.
+    # Each of these would leave a row out of the pools, or give it no class.
     @pytest.mark.parametrize(
-        "labels", [[0, 1, 0], [0, 3, 1, 0], [0, -1, 1, 0]],
-        ids=["shorter_than_m", "at_least_num_classes", "negative"],
+        "labels", [[0, 1, 0], [0, -1, 1, 0]], ids=["shorter_than_m", "negative"],
     )
     def test_balanced_label_out_of_range_rejected(self, labels):
         emb = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, 0.1]])
         config = SelectorConfig(method="prune4rel_balanced", budget=2, tau=0.5)
-        with pytest.raises(ValueError, match=r"length mismatch|outside \[0, 2\)"):
+        with pytest.raises(ValueError, match="length mismatch|negative class id"):
             run_selection(
                 config,
                 embeddings=emb,
                 noisy_labels=labels,
-                num_classes=2,
                 confidence=np.array([0.9, 0.8, 0.7, 0.6]),
                 graph=build_graph(emb, 0.5),
             )
+
+    @pytest.mark.parametrize("method", ["prune4rel_balanced", "moderate"])
+    def test_ground_truth_class_absent_from_noisy_labels(self, method):
+        rng = np.random.default_rng(44)
+        emb = rng.standard_normal((30, 4))
+        noisy = np.arange(30) % 3
+        truth = noisy.copy()
+        truth[[4, 11]] = 7  # a class no noisy label names
+        config = SelectorConfig(method=method, budget=30, tau=0.5)
+        report = run_selection(
+            config, embeddings=emb, noisy_labels=noisy, ground_truth_labels=truth,
+            confidence=rng.uniform(0, 1, 30), graph=build_graph(emb, 0.5),
+        )
+        assert report.per_class_counts == [10, 10, 10]
+        assert report.noise_ratio == pytest.approx(2 / 30)
 
     def test_empty_labels_are_a_length_mismatch(self):
         config = SelectorConfig(method="uniform", budget=1)
