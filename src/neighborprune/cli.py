@@ -137,7 +137,12 @@ def _can_be_dir(text: str) -> bool:  # its nearest existing ancestor is a direct
     return next(p for p in (path, *path.parents) if p.exists()).is_dir()
 
 
+def _can_be_file(text: str) -> bool:  # not a directory, and its parent can be one
+    return not Path(text).is_dir() and _can_be_dir(Path(text).parent)
+
+
 _out_dir = _checked(str, _can_be_dir, "a directory or a path below one")
+_out_file = _checked(str, _can_be_file, "a file path, not a directory nor below a file")
 
 
 def _input_digests(paths: dict[str, str | None]) -> dict[str, str]:
@@ -208,10 +213,10 @@ def _add_prune_parser(sub) -> None:
         choices=tuple(TAU_PRESETS),
         help="named tau preset (overridden by an explicit --tau)",
     )
-    p.add_argument("--utility", choices=UTILITY_KINDS, default="tanh")
+    p.add_argument("--utility", choices=UTILITY_KINDS, default=Utility.kind)
     p.add_argument("--gain-mode", choices=("paper", "exact"), default="paper")
     p.add_argument("--eager", action="store_true", help="disable lazy evaluation")
-    p.add_argument("--seed", type=_at_least(0), default=0)
+    p.add_argument("--seed", type=_at_least(0), default=SelectorConfig.seed)
     p.add_argument(
         "--threads", type=int, default=1,
         help="no effect; OPENBLAS_NUM_THREADS caps the graph build's BLAS threads",
@@ -248,16 +253,20 @@ def cmd_prune(args) -> int:
     if problem:
         raise CliError(problem)
 
-    embeddings = load_matrix(args.embeddings, args.embeddings_format)
-    noisy_labels = load_labels(args.labels) if args.labels else None
-    scores = load_scores(args.scores) if args.scores else None
-    probabilities = load_probabilities(args.probs, args.probs_format) if args.probs else None
-    confidence = None
-    if needs_graph:
-        if args.confidence_metric == "external":
-            confidence = load_external_confidence(args.confidence_file)
-        else:
-            confidence = compute_confidence(probabilities, args.confidence_metric)
+    # Every file given is parsed, whatever the method reads, and digested.
+    readers = {
+        "embeddings": lambda path: load_matrix(path, args.embeddings_format),
+        "probs": lambda path: load_probabilities(path, args.probs_format),
+        "labels": load_labels,
+        "scores": load_scores,
+        "confidence_file": load_external_confidence,
+    }
+    loaded = {dest: read(values[dest]) for dest, read in readers.items()
+              if values[dest] is not None}
+    embeddings, probabilities = loaded["embeddings"], loaded.get("probs")
+    confidence = loaded.get("confidence_file")
+    if needs_graph and args.confidence_metric != "external":
+        confidence = compute_confidence(probabilities, args.confidence_metric)
 
     budget = args.size if args.size is not None else args.ratio
     try:
@@ -283,33 +292,28 @@ def cmd_prune(args) -> int:
     report = run_selection(
         config,
         embeddings=embeddings,
-        noisy_labels=noisy_labels,
+        noisy_labels=loaded.get("labels"),
         probabilities=probabilities,
         confidence=confidence,
-        scores=scores,
+        scores=loaded.get("scores"),
         graph=graph,
-        graph_build_s=graph_build_s,
     )
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     selected_path = out_dir / "selected.txt"
     report_path = out_dir / "report.json"
-    manifest_path = out_dir / "manifest.json"
     write_selected(selected_path, report.selected)
+    report.timings = {"graph_build_s": graph_build_s} | report.timings
     report.peak_rss_mb = _peak_rss_mb()
     report_path.write_text(report.to_json(), encoding="utf-8")
-    manifest = RunManifest(
+    RunManifest(
         command="prune",
         config=config.as_dict(),
-        inputs=_input_digests({
-            name: values[name]
-            for name in ("embeddings", "probs", "labels", "scores", "confidence_file")
-        }),
+        inputs=_input_digests({dest: values[dest] for dest in loaded}),
         outputs=[str(selected_path), str(report_path)],
         timings=report.timings,
-    )
-    manifest.write(manifest_path)
+    ).write(out_dir / "manifest.json")
     print(
         f"selected {len(report.selected)} of {embeddings.shape[0]} examples "
         f"-> {selected_path}"
@@ -326,7 +330,7 @@ def _add_eval_parser(sub) -> None:
     p.add_argument("--selected", required=True)
     p.add_argument("--noisy-labels", required=True)
     p.add_argument("--true-labels")
-    p.add_argument("--out", help="also write the JSON to this file")
+    p.add_argument("--out", type=_out_file, help="also write the JSON to this file")
 
 
 def cmd_eval(args) -> int:
@@ -371,19 +375,18 @@ def _add_synth_parser(sub) -> None:
     p.add_argument("--classes", type=int, required=True)
     p.add_argument("--per-class", type=int, required=True)
     p.add_argument("--dim", type=int, default=32)
-    p.add_argument("--noise", type=float, default=0.2)
-    p.add_argument(
-        "--noise-model",
-        choices=verify_mod.NOISE_MODELS,
-        default="asymmetric_next_class",
-    )
-    p.add_argument("--concentration", type=float, default=20.0)
-    p.add_argument("--separation", type=float, default=0.9)
-    p.add_argument("--clean-conf-mean", type=float, default=0.9)
-    p.add_argument("--clean-conf-std", type=float, default=0.05)
-    p.add_argument("--noisy-conf-mean", type=float, default=0.35)
-    p.add_argument("--noisy-conf-std", type=float, default=0.1)
-    p.add_argument("--seed", type=_at_least(0), default=0)
+    defaults = verify_mod.SynthConfig  # the class attributes are the field defaults
+    p.add_argument("--noise", type=float, default=defaults.noise_rate)
+    p.add_argument("--noise-model", choices=verify_mod.NOISE_MODELS,
+                   default=defaults.noise_model)
+    p.add_argument("--concentration", type=float,
+                   default=defaults.within_class_concentration)
+    p.add_argument("--separation", type=float, default=defaults.between_class_separation)
+    p.add_argument("--clean-conf-mean", type=float, default=defaults.clean_confidence[0])
+    p.add_argument("--clean-conf-std", type=float, default=defaults.clean_confidence[1])
+    p.add_argument("--noisy-conf-mean", type=float, default=defaults.noisy_confidence[0])
+    p.add_argument("--noisy-conf-std", type=float, default=defaults.noisy_confidence[1])
+    p.add_argument("--seed", type=_at_least(0), default=defaults.seed)
     p.add_argument("--out", type=_out_dir, required=True, help="output directory")
 
 
@@ -442,7 +445,7 @@ def _add_verify_parser(sub) -> None:
     p.add_argument("--seed", type=_at_least(0), default=0)
     p.add_argument("--instances", type=_at_least(1), help="override instance counts")
     p.add_argument("--probes", type=_at_least(1), help="override probe counts")
-    p.add_argument("--out", help="write a JSON summary to this file")
+    p.add_argument("--out", type=_out_file, help="write a JSON summary to this file")
 
 
 def cmd_verify(args) -> int:
@@ -475,16 +478,17 @@ def cmd_verify(args) -> int:
 def _add_bench_parser(sub) -> None:
     p = sub.add_parser("bench", help="scaling measurements, CSV output")
     p.add_argument("--m-list", type=_sizes, required=True, help="comma-separated sizes")
+    # The one place these defaults are written: run_scaling_benchmark has none.
     p.add_argument("--d", type=_at_least(1), default=32)
     p.add_argument("--ratio", type=float, default=0.5)
     p.add_argument("--repeat", type=_at_least(1), default=1)
     p.add_argument("--tau", type=_tau, default=0.5)
     p.add_argument(
-        "--methods", type=_methods, default="prune4rel,kcenter_greedy",
+        "--methods", type=_methods, default=",".join(verify_mod.SCALING_METHODS),
         help="comma-separated",
     )
     p.add_argument("--seed", type=_at_least(0), default=20240509)
-    p.add_argument("--out", help="CSV file (default stdout)")
+    p.add_argument("--out", type=_out_file, help="CSV file (default stdout)")
 
 
 def cmd_bench(args) -> int:

@@ -503,7 +503,6 @@ def run_selection(
     scores=None,
     ground_truth_labels: np.ndarray | None = None,
     graph: NeighborGraph | None = None,
-    graph_build_s: float = 0.0,
 ) -> PruneReport:
     """Run any selection method from loose inputs and produce a full report.
 
@@ -585,7 +584,7 @@ def run_selection(
         objective_value=None if state is None else total_objective(state, config.utility),
         per_class_counts=per_class,
         noise_ratio=noise_ratio,
-        timings={"graph_build_s": float(graph_build_s), "selection_s": float(selection_s)},
+        timings={"selection_s": float(selection_s)},  # prune adds the graph build
         config=config.as_dict(),
         graph=None if state is None else _graph_stats(graph),
     )

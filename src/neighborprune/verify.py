@@ -96,7 +96,6 @@ class SyntheticData:
     noisy_labels: np.ndarray
     ground_truth_labels: np.ndarray
     probabilities: np.ndarray
-    num_classes: int
 
 
 def generate_synthetic(config: SynthConfig) -> SyntheticData:
@@ -147,7 +146,7 @@ def generate_synthetic(config: SynthConfig) -> SyntheticData:
         probs = ((1.0 - conf) / (c - 1))[:, None] * np.ones((m, c))
         probs[np.arange(m), noisy] = conf
 
-    return SyntheticData(points, noisy, truth, probs, c)
+    return SyntheticData(points, noisy, truth, probs)
 
 
 def measure_expansion_separation(
@@ -682,13 +681,7 @@ SCALING_METHODS = ("prune4rel", "kcenter_greedy")
 
 
 def run_scaling_benchmark(
-    m_list,
-    d: int = 32,
-    ratio: float = 0.5,
-    repeat: int = 1,
-    seed: int = 20240509,
-    tau: float = 0.5,
-    methods=SCALING_METHODS,
+    m_list, *, d: int, ratio: float, repeat: int, seed: int, tau: float, methods
 ) -> list[dict]:
     """Selection-phase seconds per (m, method); best of `repeat` runs.
 

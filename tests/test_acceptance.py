@@ -129,7 +129,8 @@ def test_criterion_09_scaling():
     # pushed the slope out on either side of its bound.
     start = time.perf_counter()
     rows = run_scaling_benchmark(
-        [10_000, 20_000, 40_000], d=32, ratio=0.5, repeat=2
+        [10_000, 20_000, 40_000], d=32, ratio=0.5, repeat=2, seed=20240509,
+        tau=0.5, methods=("prune4rel", "kcenter_greedy"),
     )
     elapsed = time.perf_counter() - start
     slopes = scaling_slopes(rows)

@@ -546,6 +546,19 @@ class TestPackaging:
         )
         assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
+    def test_src_imports_with_scipy_blocked(self):
+        # scipy is installed on some hosts, so an accidental import would
+        # pass every other test; None in sys.modules makes importing it fail.
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        code = (
+            "import sys; sys.modules['scipy'] = None; "
+            "import neighborprune.cli, neighborprune.verify"
+        )
+        result = subprocess.run([sys.executable, "-c", code], env=env,
+                                capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+
     def test_readme_lists_method_inputs_from_the_table(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         assert method_inputs_help() in readme
@@ -1067,6 +1080,37 @@ class TestHostileInputs:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
         assert blocker.read_text() == "not a directory\n"
 
+    @pytest.mark.parametrize("command", ["eval", "verify", "bench"])
+    @pytest.mark.parametrize("below", [False, True], ids=["a_directory", "below_a_file"])
+    def test_file_out_that_cannot_be_a_file_is_arg_error(
+        self, synth_dir, tmp_path, monkeypatch, capsys, command, below
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the command started work")
+
+        monkeypatch.setattr(cli, "load_selected", refuse)
+        monkeypatch.setattr(verify_mod, "run_scaling_benchmark", refuse)
+        monkeypatch.setattr(verify_mod, "SUITE", (("exhaustive", refuse, None),))
+        blocker = tmp_path / "taken"
+        blocker.write_text("not a directory\n")
+        taken_dir = tmp_path / "dir"
+        taken_dir.mkdir()
+        out = blocker / "x.json" if below else taken_dir
+        rest = {
+            "eval": ["--selected", str(blocker),
+                     "--noisy-labels", str(synth_dir / "noisy_labels.txt")],
+            "verify": [],
+            "bench": ["--m-list", "50"],
+        }[command]
+        code = main([command, *rest, "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("E_ARG:") and "--out" in captured.err
+        assert captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "taken"]
+        assert list(taken_dir.iterdir()) == []
+        assert blocker.read_text() == "not a directory\n"
+
     HUGE = "99999999999999999999999"
 
     def test_label_outside_int64_is_format_error(self, synth_dir, tmp_path, capsys):
@@ -1098,3 +1142,113 @@ class TestHostileInputs:
         assert code == 3
         assert captured.err.startswith("E_FORMAT:") and f"{bad}: line 2:" in captured.err
         assert captured.out == ""
+
+
+class TestOneOwner:
+    """prune parses every file it is given, and records exactly those; the
+    command measures the graph build; flag defaults come from the library."""
+
+    @pytest.mark.parametrize(
+        "method, extra",
+        [("prune4rel", ["--tau", "0.9"]),
+         ("kcenter_greedy", ["--confidence-metric", "external"])],
+    )
+    def test_malformed_confidence_file_is_format_error(
+        self, synth_dir, tmp_path, capsys, method, extra
+    ):
+        bad = tmp_path / "conf.txt"
+        bad.write_text("0.5\nnot-a-number\n")
+        code = run_prune(synth_dir, tmp_path / "run", "--method", method,
+                         "--size", "5", "--confidence-file", str(bad), *extra)
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("E_FORMAT:") and f"{bad}: line 2:" in err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("method, extra", [("uniform", []),
+                                               ("prune4rel", ["--tau", "0.9"])])
+    def test_manifest_inputs_are_the_files_parsed(
+        self, synth_dir, tmp_path, monkeypatch, capsys, method, extra
+    ):
+        parsed = []
+
+        def recording(load):
+            def read(path, *args):
+                parsed.append(str(path))
+                return load(path, *args)
+            return read
+
+        for name in ("load_matrix", "load_probabilities", "load_labels",
+                     "load_scores", "load_external_confidence"):
+            monkeypatch.setattr(cli, name, recording(getattr(cli, name)))
+        conf = tmp_path / "conf.txt"
+        save_scores(conf, np.random.default_rng(0).uniform(0, 1, 200))
+        scores = tmp_path / "scores.txt"
+        save_scores(scores, np.arange(200, dtype=float))
+        out = tmp_path / "run"
+        code = run_prune(synth_dir, out, "--method", method, "--size", "5",
+                         "--scores", str(scores), "--confidence-file", str(conf), *extra)
+        capsys.readouterr()
+        assert code == 0
+        files = {
+            "embeddings": synth_dir / "embeddings.bin",
+            "probs": synth_dir / "probabilities.bin",
+            "labels": synth_dir / "noisy_labels.txt",
+            "scores": scores,
+            "confidence_file": conf,
+        }
+        assert sorted(parsed) == sorted(str(path) for path in files.values())
+        inputs = json.loads((out / "manifest.json").read_text())["inputs"]
+        assert inputs == {
+            name: hashlib.blake2b(path.read_bytes(), digest_size=8).hexdigest()
+            for name, path in files.items()
+        }
+
+    def test_graph_build_time_is_measured_by_prune(self, synth_dir, tmp_path):
+        out = tmp_path / "run"
+        assert run_prune(synth_dir, out, "--method", "prune4rel", "--size", "5",
+                         "--tau", "0.9") == 0
+        report = json.loads((out / "report.json").read_text())
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert report["timings"]["graph_build_s"] > 0
+        assert report["timings"] == manifest["timings"]
+        assert list(manifest["timings"]) == ["graph_build_s", "selection_s"]
+
+    def test_library_report_has_no_graph_build_time(self):
+        graph = build_graph(np.eye(3), 0.5)
+        config = SelectorConfig(method="prune4rel", budget=2, tau=0.5)
+        report = run_selection(config, confidence=[0.2, 0.5, 0.9], graph=graph)
+        assert json.loads(report.to_json())["timings"]["graph_build_s"] == 0.0
+
+    def test_synth_and_prune_defaults_are_the_library_defaults(self, tmp_path):
+        parser = cli.build_parser()
+        args = parser.parse_args(["synth", "--classes", "2", "--per-class", "5",
+                                  "--out", str(tmp_path)])
+        library = verify_mod.SynthConfig(num_classes=2, points_per_class=5,
+                                         embedding_dim=args.dim)
+        assert (args.noise, args.noise_model, args.concentration, args.separation,
+                (args.clean_conf_mean, args.clean_conf_std),
+                (args.noisy_conf_mean, args.noisy_conf_std), args.seed) == (
+            library.noise_rate, library.noise_model,
+            library.within_class_concentration, library.between_class_separation,
+            library.clean_confidence, library.noisy_confidence, library.seed)
+        args = parser.parse_args(["prune", "--embeddings", "e", "--method", "uniform",
+                                  "--size", "1", "--out", str(tmp_path)])
+        library = SelectorConfig(method="uniform", budget=1)
+        assert (args.seed, args.utility) == (library.seed, library.utility.kind)
+
+    def test_bench_defaults_are_written_once(self, monkeypatch, capsys):
+        import inspect
+
+        signature = inspect.signature(verify_mod.run_scaling_benchmark)
+        assert all(p.default is p.empty for p in signature.parameters.values())
+        calls = []
+
+        def fake_benchmark(m_list, **kwargs):
+            calls.append(kwargs)
+            return []
+
+        monkeypatch.setattr(verify_mod, "run_scaling_benchmark", fake_benchmark)
+        assert main(["bench", "--m-list", "50"]) == 0
+        assert calls == [{"d": 32, "ratio": 0.5, "repeat": 1, "seed": 20240509,
+                          "tau": 0.5, "methods": ["prune4rel", "kcenter_greedy"]}]

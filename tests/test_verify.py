@@ -297,7 +297,8 @@ class TestProbeDrivers:
         assert result.ok, result.detail
 
     def test_benchmark_rows_and_slopes(self):
-        rows = run_scaling_benchmark([300, 600], d=8, repeat=1, seed=106)
+        rows = run_scaling_benchmark([300, 600], d=8, ratio=0.5, repeat=1, seed=106,
+                                     tau=0.5, methods=("prune4rel", "kcenter_greedy"))
         assert len(rows) == 4
         slopes = scaling_slopes(rows)
         assert set(slopes) == {"prune4rel", "kcenter_greedy"}
