@@ -145,6 +145,16 @@ _out_dir = _checked(str, _can_be_dir, "a directory or a path below one")
 _out_file = _checked(str, _can_be_file, "a file path, not a directory nor below a file")
 
 
+def _sibling(out: str, suffix: str) -> Path:
+    """The file a command writes beside its --out file, refused like --out
+    (E_ARG) before any work when it is a directory; the parent is --out's."""
+    path = Path(out).with_suffix(suffix)
+    if path.is_dir():
+        raise CliError(f"--out: {path}, written beside it, must be a file path, "
+                       "not a directory")
+    return path
+
+
 def _input_digests(paths: dict[str, str | None]) -> dict[str, str]:
     return {
         name: hashlib.blake2b(Path(path).read_bytes(), digest_size=8).hexdigest()
@@ -264,13 +274,20 @@ def cmd_prune(args) -> int:
     loaded = {dest: read(values[dest]) for dest, read in readers.items()
               if values[dest] is not None}
     embeddings, probabilities = loaded["embeddings"], loaded.get("probs")
+    m = embeddings.shape[0]
+    for dest, value in loaded.items():
+        if len(value) != m:
+            raise FormatError(
+                f"--{dest.replace('_', '-')} {values[dest]} holds {len(value)} "
+                f"examples, --embeddings {args.embeddings} holds {m}"
+            )
     confidence = loaded.get("confidence_file")
     if needs_graph and args.confidence_metric != "external":
         confidence = compute_confidence(probabilities, args.confidence_metric)
 
     budget = args.size if args.size is not None else args.ratio
     try:
-        resolve_budget(budget, embeddings.shape[0])
+        resolve_budget(budget, m)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     config = SelectorConfig(
@@ -315,7 +332,7 @@ def cmd_prune(args) -> int:
         timings=report.timings,
     ).write(out_dir / "manifest.json")
     print(
-        f"selected {len(report.selected)} of {embeddings.shape[0]} examples "
+        f"selected {len(report.selected)} of {m} examples "
         f"-> {selected_path}"
     )
     return 0
@@ -449,6 +466,7 @@ def _add_verify_parser(sub) -> None:
 
 
 def cmd_verify(args) -> int:
+    csv_path = _sibling(args.out, ".correlation.csv") if args.out else None
     results = []
     for k, (preset, check, count) in enumerate(verify_mod.SUITE):
         if args.preset not in (preset, "all"):
@@ -466,7 +484,6 @@ def cmd_verify(args) -> int:
         _write(args.out, json.dumps(summary, indent=2) + "\n")
         for r in results:
             if "report" in r.data:  # the correction-confidence trend
-                csv_path = Path(args.out).with_suffix(".correlation.csv")
                 verify_mod.write_correlation_csv(csv_path, r.data["report"])
     return 0 if all(r.ok for r in results) else 1
 
@@ -492,6 +509,7 @@ def _add_bench_parser(sub) -> None:
 
 
 def cmd_bench(args) -> int:
+    manifest_path = _sibling(args.out, ".manifest.json") if args.out else None
     try:  # the smallest size is the one a small ratio empties
         resolve_budget(args.ratio, min(args.m_list))
     except ValueError as exc:
@@ -516,7 +534,7 @@ def cmd_bench(args) -> int:
             inputs={},
             outputs=[args.out],
         )
-        manifest.write(Path(args.out).with_suffix(".manifest.json"))
+        manifest.write(manifest_path)
     else:
         sys.stdout.write(text)
     return 0

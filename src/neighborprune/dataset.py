@@ -87,7 +87,7 @@ def _load_matrix_binary(path: Path) -> np.ndarray:
     if version != MATRIX_VERSION:
         raise FormatError(f"{path}: unsupported container version {version}")
     expected = rows * cols * 4
-    payload = blob[header_size:]
+    payload = memoryview(blob)[header_size:]  # a view: slicing bytes copies
     if len(payload) != expected:
         raise FormatError(
             f"{path}: payload is {len(payload)} bytes, header implies {expected}"

@@ -530,14 +530,16 @@ def run_selection(
         ground_truth_labels = np.asarray(ground_truth_labels, dtype=np.int64)
     if confidence is not None:
         confidence = confidence_values(confidence)
-    sized = [arr for arr in (embeddings, probabilities, noisy_labels, ground_truth_labels,
-                             confidence, scores) if arr is not None]
-    if not sized:
+    sizes = {name: len(arr) for name, arr in (
+        ("embeddings", embeddings), ("probabilities", probabilities),
+        ("noisy_labels", noisy_labels), ("ground_truth_labels", ground_truth_labels),
+        ("confidence", confidence), ("scores", scores)) if arr is not None}
+    if not sizes:
         raise ValueError("no inputs provided to infer the dataset size from")
-    m = len(sized[0])
-    for arr in sized[1:]:
-        if len(arr) != m:
-            raise ValueError(f"input length mismatch: {len(arr)} != {m}")
+    (first, m), *rest = sizes.items()
+    for name, size in rest:
+        if size != m:
+            raise ValueError(f"input length mismatch: {size} != {m} ({name} against {first})")
     for what, labels in (
         ("noisy_labels", noisy_labels),
         ("ground_truth_labels", ground_truth_labels),

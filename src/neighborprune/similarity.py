@@ -7,7 +7,8 @@ block pairs only, mirrored. Each pair is screened one strip of STRIP columns
 at a time by a float32 GEMM, at a cut proved to keep every edge; a survivor's
 weight is the float64 dot product of its two unit rows, summed by numpy in its
 fixed pairwise order, so weights depend on no BLAS tile, thread or kernel and
-are symmetric by value. The CSR arrays are assembled one row band at a time.
+are symmetric by value. Each finished row band is written into the CSR arrays,
+which grow in place, so a build holds one copy of the graph.
 
 A block pair is skipped when an angle bound proves it edgeless. Block B has a
 unit centroid c_B and radius r_B, the largest angle from c_B to a row of B; by
@@ -89,17 +90,31 @@ class NeighborGraph:
         return int(self.indices.size)
 
 
+def _strip_buffers(rows: int, d: int) -> tuple[np.ndarray, ...]:
+    """One build's scratch, reused by every block pair: the float32 product of a
+    strip and its mask (flat, so a narrower strip's view is contiguous), and
+    the two float64 row gathers of a weight chunk of 512 KiB each."""
+    step = max(1, 2**16 // d)  # survivors per weight chunk
+    cells = rows * min(rows, STRIP)
+    return (np.empty(cells, np.float32), np.empty(cells, bool),
+            np.empty((step, d)), np.empty((step, d)))
+
+
 def _pair_edges(
-    normalized: np.ndarray, tau: float, a: tuple[int, int], b: tuple[int, int]
+    normalized: np.ndarray, tau: float, a: tuple[int, int], b: tuple[int, int],
+    buffers: tuple[np.ndarray, ...],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Edges (row < col only) between block a and block b, b at or after a, and
-    how many entries (row < col) passed the float32 screen, strip by strip.
+    how many entries (row < col) passed the float32 screen, strip by strip,
+    computed in the build's buffers (see _strip_buffers).
 
     tau > -1, so only the kept weights need clipping, and only from above.
     """
     a_lo, a_hi = a
     b_lo, b_hi = b
     d = normalized.shape[1]
+    products, masks, left, right = buffers
+    step = left.shape[0]
     # The cut is (d + 4)*u*1.01 below tau, u = 2**-24: rounding unit rows to
     # float32 moves a cosine by at most 2u, a d-term float32 dot product in any
     # order errs by at most d*u/(1 - d*u), rounding the cut moves it by u, and
@@ -107,12 +122,15 @@ def _pair_edges(
     # 1.01 covers 1/(1 - d*u) up to d = 160 000, and wider rows are cut 2 below
     # tau. So every pair whose float64 weight reaches tau passes the screen.
     cut = np.float32(tau - ((d + 4) * 2.0**-24 * 1.01 if d <= 160_000 else 2.0))
-    step = max(1, 2**16 // d)  # survivors per weight chunk: 512 KiB per gather
     block = normalized[a_lo:a_hi].astype(np.float32)
     rows, cols, weights, survivors = [], [], [], 0
     for c_lo in range(b_lo, b_hi, STRIP):
-        sims = block @ normalized[c_lo : min(c_lo + STRIP, b_hi)].astype(np.float32).T
-        r, c = np.divmod(np.flatnonzero(sims >= cut), sims.shape[1])
+        strip = normalized[c_lo : min(c_lo + STRIP, b_hi)].astype(np.float32)
+        shape = (a_hi - a_lo, strip.shape[0])
+        size = shape[0] * shape[1]
+        sims = np.matmul(block, strip.T, out=products[:size].reshape(shape))
+        screened = np.greater_equal(sims, cut, out=masks[:size].reshape(shape))
+        r, c = np.divmod(np.flatnonzero(screened), shape[1])
         r += a_lo
         c += c_lo
         if a_lo == b_lo:
@@ -120,8 +138,13 @@ def _pair_edges(
             r, c = r[upper], c[upper]
         survivors += r.size
         w = np.empty(r.size)
-        for part in (slice(lo, lo + step) for lo in range(0, r.size, step)):
-            np.add.reduce(normalized[r[part]] * normalized[c[part]], axis=1, out=w[part])
+        for lo in range(0, r.size, step):
+            n = min(step, r.size - lo)
+            # mode="clip" lets take write into out directly ("raise" copies
+            # first); every index is in range, so the rows are the same.
+            x = np.take(normalized, r[lo : lo + n], axis=0, out=left[:n], mode="clip")
+            y = np.take(normalized, c[lo : lo + n], axis=0, out=right[:n], mode="clip")
+            np.add.reduce(np.multiply(x, y, out=x), axis=1, out=w[lo : lo + n])
         keep = w >= tau
         rows.append(r[keep])
         cols.append(c[keep])
@@ -172,8 +195,13 @@ def build_graph(
     if emb.ndim != 2 or emb.shape[0] < 1:
         raise ValueError(f"embeddings must be a nonempty 2-d matrix, got {emb.shape}")
     m = emb.shape[0]
+    size = max(1, block_size)
+    blocks = [(lo, min(lo + size, m)) for lo in range(0, m, size)]
+    # Norms one block at a time: np.linalg.norm squares its whole input first.
+    norms = np.empty(m)
     with np.errstate(over="ignore"):  # an overflowing norm is handled below
-        norms = np.linalg.norm(emb, axis=1)
+        for lo, hi in blocks:
+            norms[lo:hi] = np.linalg.norm(emb[lo:hi], axis=1)
     bad = np.flatnonzero(~((norms > 0.0) & (norms < np.inf)))  # NaN fails both
     if bad.size:
         # The squares of a finite nonzero row can under- or overflow: such a
@@ -182,20 +210,25 @@ def build_graph(
         refused = bad[~((peaks > 0.0) & (peaks < np.inf))]
         if refused.size:
             raise ValueError(f"embedding row {refused[0]} has a zero or non-finite norm")
-        emb = emb.copy()
-        emb[bad] /= peaks[:, None]
-        norms[bad] = np.linalg.norm(emb[bad], axis=1)
+        scaled = emb[bad] / peaks[:, None]
+        norms[bad] = np.linalg.norm(scaled, axis=1)  # at least 1: no overflow below
     normalized = emb / norms[:, None]
+    if bad.size:
+        normalized[bad] = scaled / norms[bad, None]
     index_dtype = np.int32 if m < 2**31 else np.int64
 
-    size = max(1, block_size)
-    blocks = [(lo, min(lo + size, m)) for lo in range(0, m, size)]
     # pending[j] collects row band j's entries as (rows, cols, weights): each
     # pair (i, j) adds its entries mirrored, and band j adds its own.
     pending = [[] for _ in blocks]
     skip = _edgeless_pairs(normalized, blocks, tau)
+    buffers = _strip_buffers(blocks[0][1], normalized.shape[1])
     indptr = np.zeros(m + 1, dtype=np.int64)
-    indices, weights, stored, survivors = [], [], 0, 0
+    # The CSR arrays grow in place by one row band at a time: resize reallocs,
+    # and glibc moves a block it mapped on its own by remapping, not copying.
+    # resize runs with refcheck=False, so no view of indices or weights may
+    # exist while they grow; the graph is built from them only at the end.
+    indices, weights = np.empty(0, dtype=index_dtype), np.empty(0)
+    stored, survivors = 0, 0
     for ai, (lo, hi) in enumerate(blocks):
         band = pending[ai]
         own = np.arange(lo, hi, dtype=index_dtype)
@@ -210,7 +243,9 @@ def build_graph(
         for bj in range(ai, len(blocks)):
             if skip[ai, bj]:
                 continue
-            rows, cols, w, passed = _pair_edges(normalized, tau, blocks[ai], blocks[bj])
+            rows, cols, w, passed = _pair_edges(
+                normalized, tau, blocks[ai], blocks[bj], buffers
+            )
             survivors += passed
             rows, cols = rows.astype(index_dtype), cols.astype(index_dtype)
             stored += 2 * rows.size
@@ -221,14 +256,18 @@ def build_graph(
                 )
             band.append((rows, cols, w))
             pending[bj].append((cols, rows, w))
-        pending[ai] = None
-        # Row band ai is complete; each (row, col) occurs once, so sorting by
-        # the combined key gives the CSR order.
-        rows = np.concatenate([r for r, _, _ in band])
-        cols = np.concatenate([c for _, c, _ in band])
+        # Row band ai is complete and its pair arrays are let go once joined;
+        # each (row, col) occurs once, so sorting by the combined key gives
+        # the CSR order, taken straight into the grown arrays (mode="clip" as
+        # in _pair_edges).
+        rows, cols, w = map(np.concatenate, zip(*band))
+        pending[ai] = band = None
         order = np.argsort((rows.astype(np.int64) - lo) * m + cols)
-        indices.append(cols[order])
-        weights.append(np.concatenate([w for _, _, w in band])[order])
+        start = indices.size
+        indices.resize(start + order.size, refcheck=False)
+        weights.resize(start + order.size, refcheck=False)
+        np.take(cols, order, out=indices[start:], mode="clip")
+        np.take(w, order, out=weights[start:], mode="clip")
         indptr[lo + 1 : hi + 1] = np.bincount(rows - lo, minlength=hi - lo)
 
     np.cumsum(indptr, out=indptr)
@@ -236,8 +275,8 @@ def build_graph(
         tau=float(tau),
         num_rows=m,
         indptr=indptr,
-        indices=np.concatenate(indices),
-        weights=np.concatenate(weights),
+        indices=indices,
+        weights=weights,
         block_pairs=len(blocks) * (len(blocks) + 1) // 2,
         block_pairs_skipped=int(np.count_nonzero(skip)) // 2,
         screen_survivors=survivors,

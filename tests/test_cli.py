@@ -1111,6 +1111,53 @@ class TestHostileInputs:
         assert list(taken_dir.iterdir()) == []
         assert blocker.read_text() == "not a directory\n"
 
+    @pytest.mark.parametrize(
+        "command, suffix",
+        [("verify", ".correlation.csv"), ("bench", ".manifest.json")],
+    )
+    def test_sibling_out_that_is_a_directory_is_arg_error(
+        self, tmp_path, monkeypatch, capsys, command, suffix
+    ):
+        ran = []
+
+        def spy(*args, **kwargs):
+            ran.append(args or kwargs)
+            raise AssertionError("the command started work")
+
+        monkeypatch.setattr(verify_mod, "run_scaling_benchmark", spy)
+        monkeypatch.setattr(verify_mod, "SUITE", (("trend", spy, None),))
+        out = tmp_path / "t.json"
+        (tmp_path / f"t{suffix}").mkdir()
+        rest = {"verify": ["--preset", "trend"], "bench": ["--m-list", "50"]}[command]
+        code = main([command, *rest, "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("E_ARG:") and "--out" in captured.err
+        assert f"t{suffix}" in captured.err
+        assert ran == [] and captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == [f"t{suffix}"]
+
+    @pytest.mark.parametrize("flag", ["--probs", "--labels", "--scores",
+                                      "--confidence-file"])
+    def test_length_mismatch_names_flag_and_files(self, synth_dir, tmp_path, capsys, flag):
+        short = tmp_path / "short.txt"
+        if flag == "--probs":
+            save_matrix(short, np.array([[0.5, 0.5], [0.25, 0.75]]))
+        elif flag == "--labels":
+            save_labels(short, np.array([0, 1]))
+        else:
+            save_scores(short, np.array([0.5, 0.25]))
+        embeddings = str(synth_dir / "embeddings.bin")
+        code = main(["prune", "--embeddings", embeddings, flag, str(short),
+                     "--method", "kcenter_greedy", "--size", "5",
+                     "--out", str(tmp_path / "run")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("E_FORMAT:")
+        assert f"{flag} {short} holds 2 examples" in err
+        assert f"--embeddings {embeddings} holds 200" in err
+        assert not (tmp_path / "run").exists()
+
     HUGE = "99999999999999999999999"
 
     def test_label_outside_int64_is_format_error(self, synth_dir, tmp_path, capsys):

@@ -2,6 +2,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -119,7 +120,7 @@ class TestBuildGraph:
         pair_edges = similarity._pair_edges
 
         def counted(*args):
-            calls.append(args[2:])  # the block pair (a, b)
+            calls.append(args[2:4])  # the block pair (a, b)
             return pair_edges(*args)
 
         monkeypatch.setattr(similarity, "_pair_edges", counted)
@@ -138,7 +139,7 @@ class TestBuildGraph:
         calls = counted_pair_edges(monkeypatch)
         with pytest.raises(GuardError, match="edge cap"):
             build_graph(emb, 0.3, block_size=100, edge_cap=edges - 1)
-        assert [args[2:] for args in calls] == block_pairs(250, 100)
+        assert [args[2:4] for args in calls] == block_pairs(250, 100)
 
     def test_raising_tau_never_adds_edges(self):
         rng = np.random.default_rng(7)
@@ -346,6 +347,30 @@ class TestColumnStrips:
         assert graph_digest(graph) == "06b51f234e90ec19eef6ae9ea804f029"
 
 
+class TestBuildMemory:
+    """A build holds one copy of the graph; its temporaries are bounded by a
+    block, not by the input or the graph."""
+
+    def test_peak_beyond_the_graph_is_bounded(self):
+        # Gaussian rows at a dense tau: 8 row bands and a 16.9 MiB graph.
+        # Beyond the graph and the normalized rows, a build holds the pending
+        # mirrored entries, one band's temporaries and its strip buffers:
+        # 10.4 MiB here. Holding the graph both as bands and joined, with an
+        # m x d temporary for the norms, took 21.5 MiB.
+        emb = np.random.default_rng(3).standard_normal((8000, 32))
+        tracemalloc.start()
+        try:
+            graph = build_graph(emb, 0.35)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        held = graph.indptr.nbytes + graph.indices.nbytes + graph.weights.nbytes
+        assert held > 16 * 2**20
+        assert peak - held - emb.nbytes < 16 * 2**20
+        for array in (graph.indices, graph.weights):
+            assert array.flags.owndata and array.flags.c_contiguous
+
+
 def counted_pair_edges(monkeypatch):
     """Record the arguments of every _pair_edges call of the builds that follow."""
     calls = []
@@ -381,16 +406,16 @@ class TestSkippedBlockPairs:
         m = emb.shape[0]
         calls = counted_pair_edges(monkeypatch)
         graph = build_graph(emb, tau, block_size=4)
-        computed = {(a, b) for _, _, a, b in calls}
+        computed = {(a, b) for _, _, a, b, _ in calls}
         skipped = [pair for pair in block_pairs(m, 4) if pair not in computed]
         assert len(skipped) == graph.block_pairs_skipped > 0
         # Neighbouring blocks 1e-9 rad either side of arccos(tau) are
         # computed; the pair 1e-3 rad beyond it is skipped.
         adjacent = [((4 * k, 4 * k + 4), (4 * k + 4, 4 * k + 8)) for k in range(5)]
         assert [p in computed for p in adjacent] == [True, True, False, True, True]
-        normalized = calls[0][0]
+        normalized, buffers = calls[0][0], calls[0][4]
         for a, b in skipped:
-            rows = similarity._pair_edges(normalized, tau, a, b)[0]
+            rows = similarity._pair_edges(normalized, tau, a, b, buffers)[0]
             assert rows.size == 0, (a, b)
         # Brute-force all-pairs reference.
         sims = normalized @ normalized.T
@@ -429,7 +454,7 @@ class TestSkippedBlockPairs:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             graph = build_graph(emb, 0.9, block_size=2)
-        computed = {(a, b) for _, _, a, b in calls}
+        computed = {(a, b) for _, _, a, b, _ in calls}
         assert {((0, 2), (2, 4)), ((0, 2), (4, 6))} <= computed
         assert ((2, 4), (4, 6)) not in computed
         assert graph.block_pairs_skipped == 1
