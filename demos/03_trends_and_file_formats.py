@@ -3,9 +3,9 @@
 Shows the qualitative behavior behind the method: the neighborhood-vote
 re-labeling proxy succeeds mostly where neighborhood confidence is high,
 and the selected subset's noise ratio climbs with the budget. Ends with a
-tour of the on-disk formats (binary matrix container, label text files,
-correlation CSV). The graph is not a file format: every run builds it
-from the embeddings.
+tour of the on-disk formats (binary matrix container, headerless CSV
+matrix, label text files, correlation CSV). The graph is not a file
+format: every run builds it from the embeddings.
 
 Run:  python demos/03_trends_and_file_formats.py
 """
@@ -83,13 +83,16 @@ for ratio in (0.2, 0.4, 0.6, 0.8):
 with tempfile.TemporaryDirectory() as tmp:
     tmp = Path(tmp)
     save_matrix(tmp / "emb.bin", dataset.embeddings)          # binary container
-    save_matrix(tmp / "emb.csv", dataset.embeddings[:5], "csv")
+    # The package reads CSV matrices; any writer of headerless rows will do.
+    np.savetxt(tmp / "emb.csv", dataset.embeddings[:5], delimiter=",", fmt="%.17g")
     save_labels(tmp / "labels.txt", dataset.noisy_labels)     # one int per line
     write_correlation_csv(tmp / "bins.csv", corr)
 
     emb = load_matrix(tmp / "emb.bin")
+    emb_csv = load_matrix(tmp / "emb.csv", "csv")
     labels = load_labels(tmp / "labels.txt")
     header = (tmp / "emb.bin").read_bytes()[:4]
     print(f"\nbinary container magic {header!r}, round-trip shape {emb.shape}")
+    print(f"CSV round-trip: {np.array_equal(emb_csv, dataset.embeddings[:5])}")
     print(f"label file round-trip: {np.array_equal(labels, dataset.noisy_labels)}")
     print("correlation CSV header:", (tmp / "bins.csv").read_text().splitlines()[0])

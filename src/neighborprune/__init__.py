@@ -20,7 +20,6 @@ from .dataset import (
     load_scores,
     save_labels,
     save_matrix,
-    save_scores,
 )
 from .objective import (
     SelectionState,
@@ -47,6 +46,5 @@ from .verify import (
     brute_force_optimum,
     correlation_report,
     generate_synthetic,
-    measure_expansion_separation,
     relabel_proxy,
 )

@@ -27,6 +27,10 @@ LOSS_PROB_FLOOR = 1e-12
 
 PROB_ROW_SUM_TOL = 1e-5
 
+# The largest class id a label file may hold: per_class_counts keeps one
+# count per id up to the largest label, so the cap bounds it at 16 MiB.
+LABEL_MAX = 2**21 - 1
+
 
 class FormatError(ValueError):
     """An input file, or a probability matrix, violates its declared format."""
@@ -42,32 +46,23 @@ def _require_finite(values: np.ndarray, what: str) -> None:
 # Matrix container (embeddings and probabilities share it)
 # ---------------------------------------------------------------------------
 
-def save_matrix(path: str | Path, matrix: np.ndarray, fmt: str = "binary") -> None:
-    """Write a 2-d real matrix in the binary container or as headerless CSV.
-
-    The binary container is: magic "NBPR", version uint32 LE, row count
-    uint64 LE, column count uint32 LE, then rows*cols float32 LE row-major.
-    """
+def save_matrix(path: str | Path, matrix: np.ndarray) -> None:
+    """Write a 2-d real matrix in the binary container: magic "NBPR",
+    version uint32 LE, row count uint64 LE, column count uint32 LE, then
+    rows*cols float32 LE row-major."""
     matrix = np.asarray(matrix, dtype=np.float64)
     if matrix.ndim != 2:
         raise ValueError(f"expected a 2-d matrix, got shape {matrix.shape}")
     _require_finite(matrix, "matrix to write")
-    path = Path(path)
-    if fmt == "binary":
-        header = MATRIX_MAGIC + struct.pack(
-            "<IQI", MATRIX_VERSION, matrix.shape[0], matrix.shape[1]
-        )
-        payload = np.ascontiguousarray(matrix, dtype="<f4").tobytes()
-        path.write_bytes(header + payload)
-    elif fmt == "csv":
-        lines = [",".join(f"{v:.17g}" for v in row) for row in matrix]
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    else:
-        raise ValueError(f"unknown matrix format {fmt!r}")
+    header = MATRIX_MAGIC + struct.pack(
+        "<IQI", MATRIX_VERSION, matrix.shape[0], matrix.shape[1]
+    )
+    payload = np.ascontiguousarray(matrix, dtype="<f4").tobytes()
+    Path(path).write_bytes(header + payload)
 
 
 def load_matrix(path: str | Path, fmt: str = "binary") -> np.ndarray:
-    """Read a matrix written by :func:`save_matrix`. Returns float64."""
+    """Read a binary container or a headerless CSV matrix. Returns float64."""
     path = Path(path)
     if fmt == "binary":
         return _load_matrix_binary(path)
@@ -133,10 +128,12 @@ def save_labels(path: str | Path, labels: np.ndarray) -> None:
 
 def read_values(path: str | Path, parse, what: str) -> list:
     """The values parse() reads from each stripped, non-blank line of a text
-    file. A parse error names the file and line; a file with no values fails."""
+    file. A parse error names the file and line; a file with no values fails.
+    A byte that is not UTF-8 reads as a lone surrogate, which no parse
+    accepts, so its line is named too (strict decoding fails a whole chunk)."""
     path = Path(path)
     values = []
-    with path.open("r", encoding="utf-8") as handle:
+    with path.open("r", encoding="utf-8", errors="surrogateescape") as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.strip()
             if not line:
@@ -144,7 +141,9 @@ def read_values(path: str | Path, parse, what: str) -> list:
             try:
                 values.append(parse(line))
             except ValueError as exc:
-                raise FormatError(f"{path}: line {lineno}: {exc}") from exc
+                bad_byte = any("\udc80" <= ch <= "\udcff" for ch in line)
+                reason = "not UTF-8 text" if bad_byte else exc
+                raise FormatError(f"{path}: line {lineno}: {reason}") from exc
     if not values:
         raise FormatError(f"{path}: empty {what} file")
     return values
@@ -165,20 +164,14 @@ def _label(text: str) -> int:
     value = parse_int64(text)
     if value < 0:
         raise ValueError(f"negative label {value}")
+    if value > LABEL_MAX:
+        raise ValueError(f"label {value} is above the largest class id {LABEL_MAX}")
     return value
 
 
 def load_labels(path: str | Path) -> np.ndarray:
     """Load zero-based integer class labels, one per line."""
     return np.array(read_values(path, _label, "label"), dtype=np.int64)
-
-
-def save_scores(path: str | Path, values: np.ndarray) -> None:
-    values = np.asarray(values, dtype=np.float64)
-    _require_finite(values, "scores to write")
-    Path(path).write_text(
-        "\n".join(f"{v:.17g}" for v in values) + "\n", encoding="utf-8"
-    )
 
 
 def _number(text: str) -> float:

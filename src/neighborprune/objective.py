@@ -62,8 +62,7 @@ class SelectionState:
     """Selected indices plus the running neighborhood-confidence vector.
 
     Additions maintain nbr_conf with compensated (Kahan) accumulation so the
-    incremental values track a from-scratch recomputation tightly. Read-only
-    queries are thread-safe; add() must be called exclusively.
+    incremental values track a from-scratch recomputation tightly.
     """
 
     def __init__(self, graph: NeighborGraph, confidence) -> None:

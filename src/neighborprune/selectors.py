@@ -407,9 +407,7 @@ def select_margin(probabilities: np.ndarray, s: int | float) -> list[int]:
     return select_by_score(compute_confidence(probabilities, "diff_prob"), s, "ascending")
 
 
-def select_kcenter_greedy(
-    embeddings: np.ndarray, s: int | float, seed: int, first_center: int | None = None
-) -> list[int]:
+def select_kcenter_greedy(embeddings: np.ndarray, s: int | float, seed: int) -> list[int]:
     """Farthest-point traversal: repeatedly add the example farthest from the
     current centers (Euclidean), starting from a seeded random center.
 
@@ -428,14 +426,11 @@ def select_kcenter_greedy(
     emb = np.asarray(embeddings, dtype=np.float64)
     m, d = emb.shape
     s = resolve_budget(s, m)
-    if first_center is None:
-        first_center = int(np.random.default_rng(seed).integers(m))
-    elif not 0 <= first_center < m:
-        raise ValueError(f"first_center must lie in [0, {m}), got {first_center}")
-    selected = [int(first_center)]
+    first = int(np.random.default_rng(seed).integers(m))
+    selected = [first]
     # Squared distances: same argmax and same ties as true distances.
-    min_sq = np.sum((emb - emb[first_center]) ** 2, axis=1)
-    min_sq[first_center] = -np.inf
+    min_sq = np.sum((emb - emb[first]) ** 2, axis=1)
+    min_sq[first] = -np.inf
     # Rounding bound, with N = ||x||^2 + ||c||^2 and first-order terms only.
     # The exact expression is within (d + 2)eps/2 * |x - c|^2 <= (d + 2)eps * N
     # of the true squared distance. In the expansion, the two norms and the

@@ -1,12 +1,11 @@
 """Verification layer: synthetic data, oracles, and property-probe drivers.
 
-Houses the exhaustive brute-force optimum, the neighborhood-vote re-labeling
-proxy, expansion/separation measurement, correlation reporting, and the
-seeded Monte Carlo drivers behind the verification command and the
-acceptance suite: the greedy approximation bound, monotonicity and
-submodularity probes, lazy/eager equivalence, degenerate equivalences,
-class balance, the qualitative correction-vs-confidence and
-noise-ratio-vs-budget trends, and the scaling benchmark.
+Houses the generator behind `synth`, the exhaustive brute-force optimum,
+the neighborhood-vote re-labeling proxy, correlation reporting, the seeded
+Monte Carlo drivers that `verify` runs (the greedy approximation bound,
+monotonicity and submodularity probes, lazy/eager equivalence, degenerate
+equivalences, class balance, the correction-vs-confidence and
+noise-ratio-vs-budget trends), and the scaling benchmark behind `bench`.
 """
 
 from __future__ import annotations
@@ -147,25 +146,6 @@ def generate_synthetic(config: SynthConfig) -> SyntheticData:
         probs[np.arange(m), noisy] = conf
 
     return SyntheticData(points, noisy, truth, probs)
-
-
-def measure_expansion_separation(
-    ground_truth_labels, graph: NeighborGraph
-) -> tuple[float, float]:
-    """Mean non-self neighbor count, and mean fraction of non-self neighbors
-    whose ground-truth class differs (isolated examples contribute 0)."""
-    truth = np.asarray(ground_truth_labels, dtype=np.int64)
-    m = graph.num_rows
-    if truth.shape != (m,):
-        raise ValueError(f"ground_truth_labels must be a length-{m} vector")
-    degrees = graph.degrees()
-    row_ids = np.repeat(np.arange(m), degrees)
-    nonself = graph.indices != row_ids
-    differs = truth[graph.indices] != truth[row_ids]
-    others = degrees - 1
-    diff_counts = np.bincount(row_ids[nonself & differs], minlength=m)
-    fractions = np.where(others > 0, diff_counts / np.maximum(others, 1), 0.0)
-    return float(others.mean()), float(fractions.mean())
 
 
 # ---------------------------------------------------------------------------
@@ -716,23 +696,3 @@ def run_scaling_benchmark(
                 {"m": int(m), "method": method, "seconds": float(best), "s": s}
             )
     return rows
-
-
-def scaling_slopes(rows: list[dict]) -> dict:
-    """Log-log slopes from benchmark rows: per-selection-step seconds for the
-    confidence greedy, total seconds for kcenter."""
-    out = {}
-    by_method: dict[str, list[tuple[int, float, int]]] = {}
-    for row in rows:
-        by_method.setdefault(row["method"], []).append(
-            (row["m"], row["seconds"], row["s"])
-        )
-    for method, triples in by_method.items():
-        triples.sort()
-        ms = np.array([t[0] for t in triples], dtype=np.float64)
-        secs = np.array([t[1] for t in triples], dtype=np.float64)
-        if method == "prune4rel":
-            secs = secs / np.array([t[2] for t in triples], dtype=np.float64)
-        slope = float(np.polyfit(np.log(ms), np.log(secs), 1)[0])
-        out[method] = slope
-    return out

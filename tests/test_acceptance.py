@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 from neighborprune.cli import main
-from neighborprune.dataset import save_scores
 from neighborprune.objective import SelectionState, Utility, marginal_gain_paper
 from neighborprune.selectors import SelectorConfig, load_selected, run_selection
 from neighborprune.similarity import build_graph
@@ -28,10 +27,11 @@ from neighborprune.verify import (
     check_monotonicity,
     check_submodularity,
     run_scaling_benchmark,
-    scaling_slopes,
     trend_correction_correlation,
     trend_subset_noise_ratio,
 )
+
+from scaling import scaling_slopes
 
 
 def test_criterion_01_approximation_bound():
@@ -179,7 +179,7 @@ def test_criterion_10_byte_determinism(tmp_path):
          "--noise", "0.2", "--seed", "3", "--out", str(data)]
     ) == 0
     scores_path = tmp_path / "scores.txt"
-    save_scores(scores_path, np.random.default_rng(99).uniform(0, 1, 200))
+    np.savetxt(scores_path, np.random.default_rng(99).uniform(0, 1, 200), fmt="%.17g")
     matrix = []
     for method, extra in METHOD_MATRIX:
         if extra and extra[-1] == "--scores":

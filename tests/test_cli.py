@@ -13,7 +13,7 @@ from neighborprune import cli
 from neighborprune import selectors as selectors_mod
 from neighborprune import verify as verify_mod
 from neighborprune.cli import main, method_inputs_help
-from neighborprune.dataset import load_labels, load_matrix, save_labels, save_matrix, save_scores
+from neighborprune.dataset import load_labels, load_matrix, save_labels, save_matrix
 from neighborprune.selectors import SelectorConfig, load_selected, run_selection
 from neighborprune.similarity import build_graph
 
@@ -42,7 +42,7 @@ def golden_dir(tmp_path_factory):
         ]
     )
     assert code == 0
-    save_scores(out / "scores.txt", np.random.default_rng(99).uniform(0, 1, 200))
+    np.savetxt(out / "scores.txt", np.random.default_rng(99).uniform(0, 1, 200), fmt="%.17g")
     return out
 
 
@@ -217,7 +217,7 @@ class TestPrune:
         # the file even for the flag sets that never read the matrix.
         probs = tmp_path / "probs.bin"
         values = tmp_path / "values.txt"
-        save_scores(values, np.linspace(0.0, 1.0, 200))
+        np.savetxt(values, np.linspace(0.0, 1.0, 200), fmt="%.17g")
         flag_sets = (
             ["--method", "prune4rel", "--tau", "0.9"],
             ["--method", "prune4rel", "--tau", "0.9", "--confidence-metric",
@@ -263,7 +263,7 @@ class TestPrune:
 
         monkeypatch.setattr(dataset_mod, "_validate_probabilities", counted)
         values = tmp_path / "values.txt"
-        save_scores(values, np.linspace(0.0, 1.0, 200))
+        np.savetxt(values, np.linspace(0.0, 1.0, 200), fmt="%.17g")
         if extra[-1] == "--scores":
             extra = extra + [str(values)]
         if "external" in extra:
@@ -290,7 +290,7 @@ class TestPrune:
         # is normalized like [1, 1] and all three rows are neighbors.
         emb, conf = tmp_path / "emb.csv", tmp_path / "conf.txt"
         emb.write_text("1e200,1e200\n1,1\n1,0.99\n")
-        save_scores(conf, [0.5, 0.6, 0.7])
+        np.savetxt(conf, [0.5, 0.6, 0.7], fmt="%.17g")
         code = main(
             ["prune", "--embeddings", str(emb), "--embeddings-format", "csv",
              "--method", "prune4rel", "--tau", "0.9", "--confidence-metric",
@@ -323,7 +323,7 @@ class TestPrune:
     def test_external_confidence_file(self, synth_dir, tmp_path):
         conf_path = tmp_path / "conf.txt"
         rng = np.random.default_rng(0)
-        save_scores(conf_path, rng.uniform(0, 1, 200))
+        np.savetxt(conf_path, rng.uniform(0, 1, 200), fmt="%.17g")
         out = tmp_path / "run"
         code = run_prune(
             synth_dir, out, "--method", "prune4rel", "--ratio", "0.1",
@@ -334,7 +334,7 @@ class TestPrune:
 
     def test_scores_method(self, synth_dir, tmp_path):
         scores_path = tmp_path / "scores.txt"
-        save_scores(scores_path, np.arange(200, dtype=float))
+        np.savetxt(scores_path, np.arange(200, dtype=float), fmt="%.17g")
         out = tmp_path / "run"
         code = run_prune(
             synth_dir, out, "--method", "forgetting", "--size", "3",
@@ -976,7 +976,7 @@ class TestClassIds:
     def test_far_label_costs_one_pool(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(12)
         save_matrix(tmp_path / "emb.bin", rng.standard_normal((40, 4)))
-        save_scores(tmp_path / "conf.txt", rng.uniform(0, 1, 40))
+        np.savetxt(tmp_path / "conf.txt", rng.uniform(0, 1, 40), fmt="%.17g")
         labels = np.zeros(40, dtype=np.int64)
         labels[17] = 1_000_000
         save_labels(tmp_path / "labels.txt", labels)
@@ -1146,7 +1146,7 @@ class TestHostileInputs:
         elif flag == "--labels":
             save_labels(short, np.array([0, 1]))
         else:
-            save_scores(short, np.array([0.5, 0.25]))
+            np.savetxt(short, np.array([0.5, 0.25]), fmt="%.17g")
         embeddings = str(synth_dir / "embeddings.bin")
         code = main(["prune", "--embeddings", embeddings, flag, str(short),
                      "--method", "kcenter_greedy", "--size", "5",
@@ -1190,6 +1190,55 @@ class TestHostileInputs:
         assert captured.err.startswith("E_FORMAT:") and f"{bad}: line 2:" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("label", [2**21, 2**40, 2**62])
+    @pytest.mark.parametrize("flag", ["--labels", "--noisy-labels", "--true-labels"])
+    def test_label_above_the_cap_is_format_error_before_work(
+        self, synth_dir, tmp_path, monkeypatch, capsys, flag, label
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the command started work")
+
+        monkeypatch.setattr(cli, "subset_stats", refuse)
+        monkeypatch.setattr(cli, "run_selection", refuse)
+        labels = tmp_path / "labels.txt"
+        labels.write_text("0\n1\n" + f"{label}\n" + "0\n" * 197)
+        sel = tmp_path / "sel.txt"
+        sel.write_text("0\n1\n")
+        if flag == "--labels":
+            argv = ["prune", "--embeddings", str(synth_dir / "embeddings.bin"),
+                    "--labels", str(labels), "--method", "uniform", "--size", "5",
+                    "--out", str(tmp_path / "run")]
+        else:
+            files = {"--noisy-labels": str(synth_dir / "noisy_labels.txt"),
+                     "--true-labels": str(synth_dir / "true_labels.txt")}
+            files[flag] = str(labels)
+            argv = ["eval", "--selected", str(sel), *itertools.chain(*files.items())]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.err.startswith(f"E_FORMAT: {labels}: line 3: label {label} ")
+        assert captured.out == ""
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("flag", ["--labels", "--selected"])
+    def test_bytes_that_are_not_utf8_name_file_and_line(
+        self, synth_dir, tmp_path, capsys, flag
+    ):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"0\n1\n2\n3\xff\n" + b"0\n" * 196)
+        if flag == "--labels":
+            argv = ["prune", "--embeddings", str(synth_dir / "embeddings.bin"),
+                    "--labels", str(bad), "--method", "uniform", "--size", "5",
+                    "--out", str(tmp_path / "run")]
+        else:
+            argv = ["eval", "--selected", str(bad),
+                    "--noisy-labels", str(synth_dir / "noisy_labels.txt")]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.err == f"E_FORMAT: {bad}: line 4: not UTF-8 text\n"
+        assert captured.out == ""
+
 
 class TestOneOwner:
     """prune parses every file it is given, and records exactly those; the
@@ -1229,9 +1278,9 @@ class TestOneOwner:
                      "load_scores", "load_external_confidence"):
             monkeypatch.setattr(cli, name, recording(getattr(cli, name)))
         conf = tmp_path / "conf.txt"
-        save_scores(conf, np.random.default_rng(0).uniform(0, 1, 200))
+        np.savetxt(conf, np.random.default_rng(0).uniform(0, 1, 200), fmt="%.17g")
         scores = tmp_path / "scores.txt"
-        save_scores(scores, np.arange(200, dtype=float))
+        np.savetxt(scores, np.arange(200, dtype=float), fmt="%.17g")
         out = tmp_path / "run"
         code = run_prune(synth_dir, out, "--method", method, "--size", "5",
                          "--scores", str(scores), "--confidence-file", str(conf), *extra)

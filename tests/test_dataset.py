@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from neighborprune.dataset import (
+    LABEL_MAX,
     FormatError,
     compute_confidence,
     compute_small_loss_scores,
@@ -16,16 +17,16 @@ from neighborprune.dataset import (
     load_scores,
     save_labels,
     save_matrix,
-    save_scores,
 )
 from neighborprune.objective import confidence_values
+from neighborprune.selectors import load_selected
 
 
 class TestMatrixContainer:
     def test_binary_round_trip_with_header(self, tmp_path):
         mat = np.array([[1.5, -2.0], [0.25, 3.0], [4.0, 5.5]])
         path = tmp_path / "m.bin"
-        save_matrix(path, mat, "binary")
+        save_matrix(path, mat)
         out = load_matrix(path, "binary")
         assert out.shape == (3, 2)
         np.testing.assert_array_equal(out, mat)
@@ -101,16 +102,19 @@ class TestMatrixContainer:
         rng = np.random.default_rng(11)
         mat = rng.standard_normal((17, 5)) * 100
         path = tmp_path / f"m.{fmt}"
-        save_matrix(path, mat, fmt)
+        if fmt == "csv":
+            np.savetxt(path, mat, delimiter=",", fmt="%.17g")
+        else:
+            save_matrix(path, mat)
         out = load_matrix(path, fmt)
         np.testing.assert_allclose(out, mat, rtol=1e-6, atol=1e-6)
 
     def test_csv_then_binary_round_trip(self, tmp_path):
         rng = np.random.default_rng(3)
         mat = rng.uniform(-5, 5, size=(9, 4))
-        save_matrix(tmp_path / "a.csv", mat, "csv")
+        np.savetxt(tmp_path / "a.csv", mat, delimiter=",", fmt="%.17g")
         first = load_matrix(tmp_path / "a.csv", "csv")
-        save_matrix(tmp_path / "a.bin", first, "binary")
+        save_matrix(tmp_path / "a.bin", first)
         second = load_matrix(tmp_path / "a.bin", "binary")
         np.testing.assert_allclose(second, mat, rtol=1e-6, atol=1e-6)
 
@@ -128,7 +132,7 @@ class TestLineFormats:
 
     def test_scores_round_trip(self, tmp_path):
         values = np.array([0.25, -1.75, 3.125])
-        save_scores(tmp_path / "s.txt", values)
+        np.savetxt(tmp_path / "s.txt", values, fmt="%.17g")
         np.testing.assert_array_equal(load_scores(tmp_path / "s.txt"), values)
 
     def test_external_confidence_range_checked(self, tmp_path):
@@ -140,6 +144,55 @@ class TestLineFormats:
         save_matrix(tmp_path / "p.bin", np.array([[0.7, 0.2]]))
         with pytest.raises(ValueError, match="sums to"):
             load_probabilities(tmp_path / "p.bin")
+
+    def test_label_cap_is_inclusive(self, tmp_path):
+        path = tmp_path / "y.txt"
+        path.write_text(f"0\n{LABEL_MAX}\n")
+        np.testing.assert_array_equal(load_labels(path), [0, LABEL_MAX])
+        path.write_text(f"0\n{LABEL_MAX + 1}\n")
+        message = f"{path}: line 2: label {LABEL_MAX + 1} is above the largest class id"
+        with pytest.raises(FormatError, match=re.escape(message)):
+            load_labels(path)
+
+
+# The readers of every one-value-per-line format, and of CSV matrices.
+TEXT_READERS = {
+    "labels": (load_labels, "1"),
+    "scores": (load_scores, "0.5"),
+    "selected": (load_selected, "7"),
+    "csv matrix": (lambda path: load_matrix(path, "csv"), "0.5,1"),
+}
+
+
+class TestNotUtf8:
+    """A byte that is not UTF-8 is named by file and line, wherever the
+    reader's 8 KiB decoding chunks fall and whatever the newlines."""
+
+    @pytest.mark.parametrize("reader", list(TEXT_READERS))
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    @pytest.mark.parametrize("before", [2, 5000])
+    def test_bad_byte_names_file_and_line(self, tmp_path, reader, newline, before):
+        read, line = TEXT_READERS[reader]
+        path = tmp_path / "values.txt"
+        good = (line + newline).encode()
+        path.write_bytes(good * before + line.encode() + b"\xff" + newline.encode() + good)
+        message = f"{path}: line {before + 1}: not UTF-8 text"
+        with pytest.raises(FormatError, match=re.escape(message)):
+            read(path)
+
+    @pytest.mark.parametrize("bad", [b"\xc3(", b"\xed\xa0\x80", b"\xe2\x82"],
+                             ids=["bad_continuation", "surrogate", "truncated_at_end"])
+    def test_invalid_sequences_are_named(self, tmp_path, bad):
+        path = tmp_path / "y.txt"
+        path.write_bytes(b"0\n1\n" + bad)
+        with pytest.raises(FormatError, match=re.escape(f"{path}: line 3: not UTF-8 text")):
+            load_labels(path)
+
+    def test_valid_non_ascii_text_keeps_its_parse_error(self, tmp_path):
+        path = tmp_path / "y.txt"
+        path.write_text("0\n\u00e9\n", encoding="utf-8")
+        with pytest.raises(FormatError, match=re.escape(f"{path}: line 2: not an integer")):
+            load_labels(path)
 
 
 class TestConfidence:

@@ -473,14 +473,21 @@ class TestMargin:
             select_margin(np.ones((3, 1)), 1)
 
 
+def seed_starting_at(m: int, first: int) -> int:
+    """The smallest seed whose k-center traversal over m rows starts at row
+    `first` (the seed draws the first center)."""
+    return next(seed for seed in itertools.count()
+                if np.random.default_rng(seed).integers(m) == first)
+
+
 class TestKCenter:
     def test_hand_trace_on_a_line(self):
         emb = np.array([[0.0], [1.0], [10.0]])
-        assert select_kcenter_greedy(emb, 3, seed=0, first_center=0) == [0, 2, 1]
+        assert select_kcenter_greedy(emb, 3, seed=seed_starting_at(3, 0)) == [0, 2, 1]
 
     def test_duplicate_center_never_chosen_early(self):
         emb = np.array([[0.0, 0.0], [0.0, 0.0], [3.0, 0.0], [0.0, 5.0]])
-        picked = select_kcenter_greedy(emb, 3, seed=0, first_center=0)
+        picked = select_kcenter_greedy(emb, 3, seed=seed_starting_at(4, 0))
         assert 1 not in picked
 
     def test_full_budget_covers_all(self):
@@ -492,11 +499,6 @@ class TestKCenter:
         a = select_kcenter_greedy(emb, 10, seed=5)
         b = select_kcenter_greedy(emb, 10, seed=5)
         assert a == b
-
-    @pytest.mark.parametrize("first", [-1, 5])
-    def test_first_center_outside_rows_rejected(self, first):
-        with pytest.raises(ValueError, match=r"first_center must lie in \[0, 5\)"):
-            select_kcenter_greedy(np.eye(5), 3, seed=0, first_center=first)
 
 
 def full_scan_kcenter(emb, s, first):
@@ -544,7 +546,8 @@ class TestKCenterTies:
         for first in (0, 1, emb.shape[0] - 1):
             with np.errstate(over="ignore"):  # squares of the overflowing rows
                 expected = full_scan_kcenter(emb, s, first)
-                got = select_kcenter_greedy(emb, s, seed=0, first_center=first)
+                seed = seed_starting_at(emb.shape[0], first)
+                got = select_kcenter_greedy(emb, s, seed=seed)
             assert got == expected
 
     def test_same_sequence_across_blas_thread_counts(self):
