@@ -71,8 +71,7 @@ def clean_dir(tmp_path_factory):
     emb = rng.standard_normal((M, 4))
     save_matrix(out / "emb.bin", emb)
     np.savetxt(out / "emb.csv", emb, delimiter=",", fmt="%.17g")
-    probs = rng.dirichlet(np.ones(3), size=M)
-    save_matrix(out / "probs.bin", probs / probs.sum(axis=1, keepdims=True))
+    save_matrix(out / "probs.bin", rng.dirichlet(np.ones(3), size=M))
     labels = rng.integers(0, 3, M)
     save_labels(out / "labels.txt", labels)
     save_labels(out / "true.txt", np.where(rng.uniform(size=M) < 0.8, labels, 0))
