@@ -2,11 +2,11 @@
 
 Subcommands: prune (run any selector and write the subset), eval (subset
 statistics from files), synth (write a synthetic dataset), verify (run the
-property suite), bench (scaling measurements). Every failure path exits
-nonzero with a single-line, greppable prefix: E_ARG (2) for bad or missing
-flags, E_FORMAT (3) for malformed input files, E_GUARD (4) for tripped
-resource guards. All randomness flows from --seed; outputs are byte-stable
-across reruns and thread counts.
+property suite). Every failure path exits nonzero with a single-line,
+greppable prefix: E_ARG (2) for bad or missing flags, E_FORMAT (3) for
+malformed input files, E_GUARD (4) for tripped resource guards. All
+randomness flows from --seed; outputs are byte-stable across reruns and
+thread counts.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from . import __version__
 from .dataset import (
     CONFIDENCE_METRICS,
     FormatError,
+    LabelRangeError,
     compute_confidence,
     load_external_confidence,
     load_labels,
@@ -109,27 +110,6 @@ def _at_least(k: int):
 
 # The greedy refuses a negative tau, and no other method reads --tau.
 _tau = _checked(float, lambda value: 0.0 <= value <= 1.0, "in [0, 1]")
-
-
-def _int_list(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok.strip()]
-
-
-_int_list.__name__ = "int list"  # argparse: "invalid int list value: '17,x'"
-_sizes = _checked(_int_list, lambda sizes: bool(sizes) and min(sizes) >= 1,
-                  "comma-separated integers of at least 1")
-
-
-def _method_list(text: str) -> list[str]:
-    names = [tok.strip() for tok in text.split(",") if tok.strip()]
-    for name in names:
-        if name not in verify_mod.SCALING_METHODS:
-            raise argparse.ArgumentTypeError(f"benchmark does not cover {name!r}")
-    return names
-
-
-_methods = _checked(_method_list, bool, "comma-separated names from "
-                    + ", ".join(verify_mod.SCALING_METHODS))
 
 
 def _can_be_dir(text: str) -> bool:  # its nearest existing ancestor is a directory
@@ -306,15 +286,18 @@ def cmd_prune(args) -> int:
         graph = build_graph(embeddings, tau, edge_cap=args.max_edges)
         graph_build_s = time.perf_counter() - start
 
-    report = run_selection(
-        config,
-        embeddings=embeddings,
-        noisy_labels=loaded.get("labels"),
-        probabilities=probabilities,
-        confidence=confidence,
-        scores=loaded.get("scores"),
-        graph=graph,
-    )
+    try:
+        report = run_selection(
+            config,
+            embeddings=embeddings,
+            noisy_labels=loaded.get("labels"),
+            probabilities=probabilities,
+            confidence=confidence,
+            scores=loaded.get("scores"),
+            graph=graph,
+        )
+    except LabelRangeError as exc:  # small_loss indexes --probs by --labels
+        raise FormatError(f"--labels {args.labels}, --probs {args.probs}: {exc}") from exc
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -361,7 +344,8 @@ def cmd_eval(args) -> int:
         raise FormatError(f"{args.selected}: duplicate indices")
     truth = load_labels(args.true_labels) if args.true_labels else None
     if truth is not None and truth.size != noisy.size:
-        raise FormatError("label files disagree on length")
+        raise FormatError(f"--true-labels {args.true_labels} holds {truth.size} examples, "
+                          f"--noisy-labels {args.noisy_labels} holds {noisy.size}")
     per_class, noise_ratio = subset_stats(selected, noisy, truth)
     result = {
         "selected_count": int(selected.size),
@@ -489,58 +473,6 @@ def cmd_verify(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# bench
-# ---------------------------------------------------------------------------
-
-def _add_bench_parser(sub) -> None:
-    p = sub.add_parser("bench", help="scaling measurements, CSV output")
-    p.add_argument("--m-list", type=_sizes, required=True, help="comma-separated sizes")
-    # The one place these defaults are written: run_scaling_benchmark has none.
-    p.add_argument("--d", type=_at_least(1), default=32)
-    p.add_argument("--ratio", type=float, default=0.5)
-    p.add_argument("--repeat", type=_at_least(1), default=1)
-    p.add_argument("--tau", type=_tau, default=0.5)
-    p.add_argument(
-        "--methods", type=_methods, default=",".join(verify_mod.SCALING_METHODS),
-        help="comma-separated",
-    )
-    p.add_argument("--seed", type=_at_least(0), default=20240509)
-    p.add_argument("--out", type=_out_file, help="CSV file (default stdout)")
-
-
-def cmd_bench(args) -> int:
-    manifest_path = _sibling(args.out, ".manifest.json") if args.out else None
-    try:  # the smallest size is the one a small ratio empties
-        resolve_budget(args.ratio, min(args.m_list))
-    except ValueError as exc:
-        raise CliError(f"--ratio: {exc}") from exc
-    rows = verify_mod.run_scaling_benchmark(
-        args.m_list,
-        d=args.d,
-        ratio=args.ratio,
-        repeat=args.repeat,
-        seed=args.seed,
-        tau=args.tau,
-        methods=args.methods,
-    )
-    lines = ["m,method,seconds"]
-    lines += [f"{r['m']},{r['method']},{r['seconds']:.6f}" for r in rows]
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        _write(args.out, text)
-        manifest = RunManifest(
-            command="bench",
-            config=_flags(args),
-            inputs={},
-            outputs=[args.out],
-        )
-        manifest.write(manifest_path)
-    else:
-        sys.stdout.write(text)
-    return 0
-
-
-# ---------------------------------------------------------------------------
 # entry point
 # ---------------------------------------------------------------------------
 
@@ -552,7 +484,6 @@ def build_parser() -> _Parser:
     _add_eval_parser(sub)
     _add_synth_parser(sub)
     _add_verify_parser(sub)
-    _add_bench_parser(sub)
     return parser
 
 
@@ -561,7 +492,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         handler = {"prune": cmd_prune, "eval": cmd_eval, "synth": cmd_synth,
-                   "verify": cmd_verify, "bench": cmd_bench}[args.command]
+                   "verify": cmd_verify}[args.command]
         return handler(args)
     except CliError as exc:
         print(f"E_ARG: {exc}", file=sys.stderr)

@@ -36,6 +36,10 @@ class FormatError(ValueError):
     """An input file, or a probability matrix, violates its declared format."""
 
 
+class LabelRangeError(FormatError):
+    """A noisy label outside the probability matrix's classes."""
+
+
 def _require_finite(values: np.ndarray, what: str) -> None:
     if not np.isfinite(values).all():
         bad = int(np.flatnonzero(~np.isfinite(values).reshape(-1))[0])
@@ -245,7 +249,10 @@ def compute_small_loss_scores(
     labels = np.asarray(noisy_labels, dtype=np.int64)
     if labels.ndim != 1 or labels.size != probs.shape[0]:
         raise ValueError("noisy_labels length must match probability rows")
-    if labels.size and (labels.min() < 0 or labels.max() >= probs.shape[1]):
-        raise ValueError("label out of range for probability matrix")
+    outside = np.flatnonzero((labels < 0) | (labels >= probs.shape[1]))
+    if outside.size:
+        row = int(outside[0])
+        raise LabelRangeError(f"row {row} holds label {labels[row]}, out of range for "
+                              f"the probability matrix's {probs.shape[1]} classes")
     picked = probs[np.arange(labels.size), labels]
     return -np.log(np.maximum(picked, LOSS_PROB_FLOOR))

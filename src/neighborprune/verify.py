@@ -5,28 +5,20 @@ the neighborhood-vote re-labeling proxy, correlation reporting, the seeded
 Monte Carlo drivers that `verify` runs (the greedy approximation bound,
 monotonicity and submodularity probes, lazy/eager equivalence, degenerate
 equivalences, class balance, the correction-vs-confidence and
-noise-ratio-vs-budget trends), and the scaling benchmark behind `bench`.
+noise-ratio-vs-budget trends).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import time
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
 from .dataset import compute_confidence
 from .objective import SelectionState, Utility, confidence_values, marginal_gain_exact, total_objective
-from .selectors import (
-    SelectorConfig,
-    resolve_budget,
-    run_selection,
-    select_by_score,
-    select_kcenter_greedy,
-)
+from .selectors import SelectorConfig, run_selection, select_by_score
 from .similarity import GuardError, NeighborGraph, build_graph
 
 BRUTE_FORCE_SUBSET_CAP = 10**7
@@ -651,48 +643,3 @@ SUITE = (
     ("trend", trend_subset_noise_ratio, None),
 )
 SUITE_SEED = 20240501
-
-
-# ---------------------------------------------------------------------------
-# Scaling benchmark
-# ---------------------------------------------------------------------------
-
-SCALING_METHODS = ("prune4rel", "kcenter_greedy")
-
-
-def run_scaling_benchmark(
-    m_list, *, d: int, ratio: float, repeat: int, seed: int, tau: float, methods
-) -> list[dict]:
-    """Selection-phase seconds per (m, method); best of `repeat` runs.
-
-    The confidence greedy runs eagerly so the measured per-step cost is the
-    full candidate scan plus the neighborhood update, which is the cost model
-    the near-linear claim is about; graph build time is excluded from the
-    reported seconds (it is a one-off, and the claim is per selection step).
-    The greedy is timed through run_selection, whose checks and report add
-    O(m) work: about 2-3 ms of a 6-9 s run at m = 40 000, s = 20 000 (two
-    cores of a shared host).
-    """
-    rows = []
-    for m in m_list:
-        rng = np.random.default_rng(seed + int(m))
-        emb = rng.standard_normal((int(m), d))
-        conf = rng.uniform(0.0, 1.0, size=int(m))
-        s = resolve_budget(float(ratio), int(m))
-        for method in methods:
-            if method == "prune4rel":
-                graph = build_graph(emb, tau)
-                run = partial(_greedy, graph, conf, s, lazy=False)
-            elif method == "kcenter_greedy":
-                run = partial(select_kcenter_greedy, emb, s, seed=seed)
-            else:
-                raise ValueError(f"benchmark does not cover method {method!r}")
-            best = np.inf
-            for _ in range(max(1, repeat)):
-                start = time.perf_counter()
-                run()
-                best = min(best, time.perf_counter() - start)
-            rows.append(
-                {"m": int(m), "method": method, "seconds": float(best), "s": s}
-            )
-    return rows

@@ -26,12 +26,11 @@ from neighborprune.verify import (
     check_lazy_eager_equivalence,
     check_monotonicity,
     check_submodularity,
-    run_scaling_benchmark,
     trend_correction_correlation,
     trend_subset_noise_ratio,
 )
 
-from scaling import scaling_slopes
+from scaling import SCALING_METHODS, run_scaling_benchmark, scaling_slopes
 
 
 def test_criterion_01_approximation_bound():
@@ -130,7 +129,7 @@ def test_criterion_09_scaling():
     start = time.perf_counter()
     rows = run_scaling_benchmark(
         [10_000, 20_000, 40_000], d=32, ratio=0.5, repeat=2, seed=20240509,
-        tau=0.5, methods=("prune4rel", "kcenter_greedy"),
+        tau=0.5, methods=SCALING_METHODS,
     )
     elapsed = time.perf_counter() - start
     slopes = scaling_slopes(rows)

@@ -1,7 +1,9 @@
+import argparse
 import hashlib
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -563,6 +565,14 @@ class TestPackaging:
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         assert method_inputs_help() in readme
 
+    def test_readme_commands_are_the_parsers_subcommands(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        shell_blocks = re.findall(r"```(?:bash|sh|shell)\n(.*?)```", readme, re.S)
+        used = set(re.findall(r"\bneighborprune (\w+)", "".join(shell_blocks)))
+        subparsers = next(action for action in cli.build_parser()._actions
+                          if isinstance(action, argparse._SubParsersAction))
+        assert used == set(subparsers.choices)
+
 
 class TestEval:
     def test_counts_and_noise_ratio(self, synth_dir, tmp_path, capsys):
@@ -670,7 +680,9 @@ class TestEval:
         )
         captured = capsys.readouterr()
         assert code == 3
-        assert captured.err.startswith("E_FORMAT:") and "disagree on length" in captured.err
+        assert captured.err.startswith("E_FORMAT:")
+        assert (f"--true-labels {truth_path} holds 199 examples, --noisy-labels "
+                f"{synth_dir / 'noisy_labels.txt'} holds 200") in captured.err
         assert captured.out == ""
 
     def test_bad_label_line_names_file_and_line(self, tmp_path, capsys):
@@ -758,61 +770,6 @@ class TestVerifyCommand:
         assert "PASS" not in captured.out
 
 
-class TestBenchCommand:
-    def test_csv_rows(self, tmp_path):
-        out = tmp_path / "bench.csv"
-        code = main(
-            ["bench", "--m-list", "200,400", "--d", "8", "--ratio", "0.5",
-             "--out", str(out)]
-        )
-        assert code == 0
-        lines = out.read_text().strip().splitlines()
-        assert lines[0] == "m,method,seconds"
-        assert len(lines) == 1 + 2 * 2
-        assert out.with_suffix(".manifest.json").exists()
-
-    def test_bad_m_list(self, capsys):
-        code = main(["bench", "--m-list", "17,zebra"])
-        assert code == 2
-        assert "--m-list" in capsys.readouterr().err
-
-    @pytest.mark.parametrize(
-        "flags",
-        [["--m-list", "50", "--ratio", "3"], ["--m-list", "50", "--ratio", "0"],
-         ["--m-list", "200,50", "--ratio", "0.001"], ["--m-list", "0"],
-         ["--m-list", "200,-5"]],
-    )
-    def test_bad_size_or_ratio_rejected_before_measuring(
-        self, monkeypatch, capsys, flags
-    ):
-        measured = []
-
-        def fake_benchmark(m_list, **kwargs):
-            measured.append(m_list)
-            return []
-
-        monkeypatch.setattr(verify_mod, "run_scaling_benchmark", fake_benchmark)
-        code = main(["bench", *flags])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert "E_ARG" in err and flags[-2] in err
-        assert measured == []
-
-    def test_unknown_method_rejected_before_measuring(self, monkeypatch, capsys):
-        measured = []
-
-        def fake_benchmark(m_list, **kwargs):
-            measured.append(kwargs["methods"])
-            return []
-
-        monkeypatch.setattr(verify_mod, "run_scaling_benchmark", fake_benchmark)
-        code = main(["bench", "--m-list", "200", "--methods", "prune4rel,nope"])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert "E_ARG" in err and "'nope'" in err
-        assert measured == []
-
-
 # Flag values outside their range, each with the flag the error must name.
 BAD_FLAG_VALUES = [
     (["prune", "--method", "uniform", "--tau", "1.5"], "--tau"),
@@ -824,13 +781,6 @@ BAD_FLAG_VALUES = [
     (["prune", "--method", "kcenter_greedy", "--seed", "-1"], "--seed"),
     (["prune", "--method", "prune4rel", "--tau", "0.5", "--max-edges", "0"],
      "--max-edges"),
-    (["bench", "--d", "0"], "--d"),
-    (["bench", "--repeat", "0"], "--repeat"),
-    (["bench", "--tau", "2"], "--tau"),
-    (["bench", "--tau", "-0.5"], "--tau"),
-    (["bench", "--methods", "kcenter_greedy", "--tau", "-0.5"], "--tau"),
-    (["bench", "--seed", "-1"], "--seed"),
-    (["bench", "--methods", ","], "--methods"),
     (["verify", "--seed", "-1"], "--seed"),
     (["synth", "--seed", "-1"], "--seed"),
 ]
@@ -841,7 +791,7 @@ def manifest_config(path) -> dict:
 
 
 class TestManifestConfig:
-    """A synth, bench or eval manifest records the parsed flags, in order."""
+    """A synth or eval manifest records the parsed flags, in order."""
 
     def assert_config(self, config, expected):
         assert config == expected
@@ -853,18 +803,6 @@ class TestManifestConfig:
             "noise_model": "asymmetric_next_class", "concentration": 20.0,
             "separation": 0.9, "clean_conf_mean": 0.9, "clean_conf_std": 0.05,
             "noisy_conf_mean": 0.35, "noisy_conf_std": 0.1, "seed": 11,
-        })
-
-    def test_bench_records_every_flag(self, tmp_path):
-        out = tmp_path / "b.csv"
-        code = main(
-            ["bench", "--m-list", "60,80", "--d", "4", "--tau", "0.3",
-             "--methods", " kcenter_greedy, prune4rel", "--out", str(out)]
-        )
-        assert code == 0
-        self.assert_config(manifest_config(out.with_suffix(".manifest.json")), {
-            "m_list": [60, 80], "d": 4, "ratio": 0.5, "repeat": 1, "tau": 0.3,
-            "methods": ["kcenter_greedy", "prune4rel"], "seed": 20240509,
         })
 
     def test_eval_records_every_flag(self, synth_dir, tmp_path, capsys):
@@ -881,14 +819,6 @@ class TestManifestConfig:
 
 class TestOutputPaths:
     def test_missing_out_parents_are_created(self, synth_dir, tmp_path, capsys):
-        bench_out = tmp_path / "new" / "sub" / "b.csv"
-        code = main(
-            ["bench", "--m-list", "60", "--d", "4", "--methods", "kcenter_greedy",
-             "--out", str(bench_out)]
-        )
-        assert code == 0
-        assert bench_out.read_text().startswith("m,method,seconds")
-        assert bench_out.with_suffix(".manifest.json").exists()
         sel_path = tmp_path / "sel.txt"
         sel_path.write_text("0\n1\n")
         eval_out = tmp_path / "new" / "e.json"
@@ -922,12 +852,10 @@ class TestParsing:
 
         monkeypatch.setattr(cli_mod, "build_graph", refuse)
         monkeypatch.setattr(verify_mod, "build_graph", refuse)
-        monkeypatch.setattr(verify_mod, "run_scaling_benchmark", refuse)
         absent = str(tmp_path / "absent")  # reading it would be E_FORMAT
         rest = {
             "prune": ["--embeddings", absent, "--probs", absent, "--labels", absent,
                       "--ratio", "0.5", "--out", str(tmp_path / "run")],
-            "bench": ["--m-list", "50"],
             "verify": [],
             "synth": ["--classes", "2", "--per-class", "5",
                       "--out", str(tmp_path / "synth")],
@@ -944,9 +872,10 @@ class TestParsing:
         assert "E_ARG" in capsys.readouterr().err
 
     def test_unknown_command(self, capsys):
-        code = main(["transmogrify"])
-        assert code == 2
-        assert "E_ARG" in capsys.readouterr().err
+        for command in (["transmogrify"], ["bench", "--m-list", "50"]):  # bench is retired
+            code = main(command)
+            assert code == 2
+            assert capsys.readouterr().err.startswith("E_ARG:")
 
 
 class TestClassIds:
@@ -1080,7 +1009,7 @@ class TestHostileInputs:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
         assert blocker.read_text() == "not a directory\n"
 
-    @pytest.mark.parametrize("command", ["eval", "verify", "bench"])
+    @pytest.mark.parametrize("command", ["eval", "verify"])
     @pytest.mark.parametrize("below", [False, True], ids=["a_directory", "below_a_file"])
     def test_file_out_that_cannot_be_a_file_is_arg_error(
         self, synth_dir, tmp_path, monkeypatch, capsys, command, below
@@ -1089,7 +1018,6 @@ class TestHostileInputs:
             raise AssertionError("the command started work")
 
         monkeypatch.setattr(cli, "load_selected", refuse)
-        monkeypatch.setattr(verify_mod, "run_scaling_benchmark", refuse)
         monkeypatch.setattr(verify_mod, "SUITE", (("exhaustive", refuse, None),))
         blocker = tmp_path / "taken"
         blocker.write_text("not a directory\n")
@@ -1100,7 +1028,6 @@ class TestHostileInputs:
             "eval": ["--selected", str(blocker),
                      "--noisy-labels", str(synth_dir / "noisy_labels.txt")],
             "verify": [],
-            "bench": ["--m-list", "50"],
         }[command]
         code = main([command, *rest, "--out", str(out)])
         captured = capsys.readouterr()
@@ -1113,7 +1040,7 @@ class TestHostileInputs:
 
     @pytest.mark.parametrize(
         "command, suffix",
-        [("verify", ".correlation.csv"), ("bench", ".manifest.json")],
+        [("verify", ".correlation.csv")],
     )
     def test_sibling_out_that_is_a_directory_is_arg_error(
         self, tmp_path, monkeypatch, capsys, command, suffix
@@ -1124,12 +1051,10 @@ class TestHostileInputs:
             ran.append(args or kwargs)
             raise AssertionError("the command started work")
 
-        monkeypatch.setattr(verify_mod, "run_scaling_benchmark", spy)
         monkeypatch.setattr(verify_mod, "SUITE", (("trend", spy, None),))
         out = tmp_path / "t.json"
         (tmp_path / f"t{suffix}").mkdir()
-        rest = {"verify": ["--preset", "trend"], "bench": ["--m-list", "50"]}[command]
-        code = main([command, *rest, "--out", str(out)])
+        code = main([command, "--preset", "trend", "--out", str(out)])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.err.startswith("E_ARG:") and "--out" in captured.err
@@ -1156,6 +1081,25 @@ class TestHostileInputs:
         assert err.startswith("E_FORMAT:")
         assert f"{flag} {short} holds 2 examples" in err
         assert f"--embeddings {embeddings} holds 200" in err
+        assert not (tmp_path / "run").exists()
+
+    def test_small_loss_label_outside_probs_names_row_and_files(self, tmp_path, capsys):
+        rng = np.random.default_rng(5)
+        save_matrix(tmp_path / "emb.bin", rng.standard_normal((40, 4)))
+        save_matrix(tmp_path / "probs.bin", rng.dirichlet(np.ones(3), size=40))
+        labels = rng.integers(0, 3, size=40)
+        labels[23] = 7
+        save_labels(tmp_path / "labels.txt", labels)
+        code = main(["prune", "--embeddings", str(tmp_path / "emb.bin"),
+                     "--probs", str(tmp_path / "probs.bin"),
+                     "--labels", str(tmp_path / "labels.txt"),
+                     "--method", "small_loss", "--size", "5",
+                     "--out", str(tmp_path / "run")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith(f"E_FORMAT: --labels {tmp_path / 'labels.txt'}, "
+                              f"--probs {tmp_path / 'probs.bin'}: ")
+        assert "row 23 holds label 7" in err and "3 classes" in err
         assert not (tmp_path / "run").exists()
 
     HUGE = "99999999999999999999999"
@@ -1332,19 +1276,3 @@ class TestOneOwner:
                                   "--size", "1", "--out", str(tmp_path)])
         library = SelectorConfig(method="uniform", budget=1)
         assert (args.seed, args.utility) == (library.seed, library.utility.kind)
-
-    def test_bench_defaults_are_written_once(self, monkeypatch, capsys):
-        import inspect
-
-        signature = inspect.signature(verify_mod.run_scaling_benchmark)
-        assert all(p.default is p.empty for p in signature.parameters.values())
-        calls = []
-
-        def fake_benchmark(m_list, **kwargs):
-            calls.append(kwargs)
-            return []
-
-        monkeypatch.setattr(verify_mod, "run_scaling_benchmark", fake_benchmark)
-        assert main(["bench", "--m-list", "50"]) == 0
-        assert calls == [{"d": 32, "ratio": 0.5, "repeat": 1, "seed": 20240509,
-                          "tau": 0.5, "methods": ["prune4rel", "kcenter_greedy"]}]

@@ -18,12 +18,11 @@ from neighborprune.verify import (
     correlation_report,
     generate_synthetic,
     relabel_proxy,
-    run_scaling_benchmark,
     trend_correction_correlation,
     trend_subset_noise_ratio,
 )
 
-from scaling import scaling_slopes
+from scaling import SCALING_METHODS, run_scaling_benchmark, scaling_slopes
 
 TINY_EMB = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 TINY_CONF = np.array([0.9, 0.8, 0.7])
@@ -281,7 +280,7 @@ class TestProbeDrivers:
 
     def test_benchmark_rows_and_slopes(self):
         rows = run_scaling_benchmark([300, 600], d=8, ratio=0.5, repeat=1, seed=106,
-                                     tau=0.5, methods=("prune4rel", "kcenter_greedy"))
+                                     tau=0.5, methods=SCALING_METHODS)
         assert len(rows) == 4
         slopes = scaling_slopes(rows)
         assert set(slopes) == {"prune4rel", "kcenter_greedy"}
