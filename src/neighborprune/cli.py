@@ -285,6 +285,8 @@ def cmd_prune(args) -> int:
         start = time.perf_counter()
         graph = build_graph(embeddings, tau, edge_cap=args.max_edges)
         graph_build_s = time.perf_counter() - start
+        # No graph method reads the rows again: let the selection reuse them.
+        loaded["embeddings"] = embeddings = None
 
     try:
         report = run_selection(

@@ -7,8 +7,10 @@ block pairs only, mirrored. Each pair is screened one strip of STRIP columns
 at a time by a float32 GEMM, at a cut proved to keep every edge; a survivor's
 weight is the float64 dot product of its two unit rows, summed by numpy in its
 fixed pairwise order, so weights depend on no BLAS tile, thread or kernel and
-are symmetric by value. Each finished row band is written into the CSR arrays,
-which grow in place, so a build holds one copy of the graph.
+are symmetric by value. Rows are divided by their norms one block at a time,
+when a pair needs them, so a build holds no normalized copy of its input. Each
+finished row band is written into the CSR arrays, which grow in place, so a
+build holds one copy of the graph.
 
 A block pair is skipped when an angle bound proves it edgeless. Block B has a
 unit centroid c_B and radius r_B, the largest angle from c_B to a row of B; by
@@ -31,6 +33,11 @@ DEFAULT_BLOCK_SIZE = 1024
 # 1024 x 512 float32 strip is 2 MiB, so it is screened from cache instead of
 # after a round trip through memory as the whole product.
 STRIP = 512
+# Entries reserved for the CSR arrays at the start of a build: 33 MiB of int32
+# indices, just above glibc's 32 MiB ceiling on its mmap threshold, so glibc
+# maps the block on its own whatever earlier frees did to the threshold, and
+# growth past it is an mremap, not a copy. Pages never written cost no RSS.
+CSR_RESERVE = 2**23 + 2**18
 # Stored-edge cap (directed entries, self edges included). Exceeding it
 # aborts the build instead of exhausting memory.
 DEFAULT_EDGE_CAP = 2_000_000_000
@@ -101,18 +108,18 @@ def _strip_buffers(rows: int, d: int) -> tuple[np.ndarray, ...]:
 
 
 def _pair_edges(
-    normalized: np.ndarray, tau: float, a: tuple[int, int], b: tuple[int, int],
-    buffers: tuple[np.ndarray, ...],
+    units: tuple[np.ndarray, np.ndarray], tau: float, a: tuple[int, int],
+    b: tuple[int, int], buffers: tuple[np.ndarray, ...],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Edges (row < col only) between block a and block b, b at or after a, and
-    how many entries (row < col) passed the float32 screen, strip by strip,
-    computed in the build's buffers (see _strip_buffers).
+    """Edges (row < col only) between block a and block b, b at or after a, given
+    the unit rows of both blocks, and how many entries (row < col) passed the
+    float32 screen, strip by strip, computed in the build's buffers (see
+    _strip_buffers).
 
     tau > -1, so only the kept weights need clipping, and only from above.
     """
-    a_lo, a_hi = a
-    b_lo, b_hi = b
-    d = normalized.shape[1]
+    ua, ub = units
+    d = ua.shape[1]
     products, masks, left, right = buffers
     step = left.shape[0]
     # The cut is (d + 4)*u*1.01 below tau, u = 2**-24: rounding unit rows to
@@ -122,18 +129,18 @@ def _pair_edges(
     # 1.01 covers 1/(1 - d*u) up to d = 160 000, and wider rows are cut 2 below
     # tau. So every pair whose float64 weight reaches tau passes the screen.
     cut = np.float32(tau - ((d + 4) * 2.0**-24 * 1.01 if d <= 160_000 else 2.0))
-    block = normalized[a_lo:a_hi].astype(np.float32)
+    block = ua.astype(np.float32)
     rows, cols, weights, survivors = [], [], [], 0
-    for c_lo in range(b_lo, b_hi, STRIP):
-        strip = normalized[c_lo : min(c_lo + STRIP, b_hi)].astype(np.float32)
-        shape = (a_hi - a_lo, strip.shape[0])
+    # r and c count from the start of block a and block b until they are stored.
+    for c_lo in range(0, ub.shape[0], STRIP):
+        strip = ub[c_lo : c_lo + STRIP].astype(np.float32)
+        shape = (block.shape[0], strip.shape[0])
         size = shape[0] * shape[1]
         sims = np.matmul(block, strip.T, out=products[:size].reshape(shape))
         screened = np.greater_equal(sims, cut, out=masks[:size].reshape(shape))
         r, c = np.divmod(np.flatnonzero(screened), shape[1])
-        r += a_lo
         c += c_lo
-        if a_lo == b_lo:
+        if a == b:
             upper = c > r
             r, c = r[upper], c[upper]
         survivors += r.size
@@ -142,27 +149,28 @@ def _pair_edges(
             n = min(step, r.size - lo)
             # mode="clip" lets take write into out directly ("raise" copies
             # first); every index is in range, so the rows are the same.
-            x = np.take(normalized, r[lo : lo + n], axis=0, out=left[:n], mode="clip")
-            y = np.take(normalized, c[lo : lo + n], axis=0, out=right[:n], mode="clip")
+            x = np.take(ua, r[lo : lo + n], axis=0, out=left[:n], mode="clip")
+            y = np.take(ub, c[lo : lo + n], axis=0, out=right[:n], mode="clip")
             np.add.reduce(np.multiply(x, y, out=x), axis=1, out=w[lo : lo + n])
         keep = w >= tau
-        rows.append(r[keep])
-        cols.append(c[keep])
+        rows.append(r[keep] + a[0])
+        cols.append(c[keep] + b[0])
         weights.append(np.minimum(w[keep], 1.0))
     return np.concatenate(rows), np.concatenate(cols), np.concatenate(weights), survivors
 
 
-def _edgeless_pairs(normalized: np.ndarray, blocks: list, tau: float) -> np.ndarray:
-    """Symmetric mask of the block pairs the angle bound proves edgeless. A
-    diagonal pair's bound is at most 0, and a block whose rows sum to zero gets
-    a NaN centroid, whose NaN bounds compare False: neither is skipped."""
-    sums = np.array([normalized[lo:hi].sum(axis=0) for lo, hi in blocks])
+def _edgeless_pairs(unit, blocks: list, tau: float) -> np.ndarray:
+    """Symmetric mask of the block pairs the angle bound proves edgeless, given
+    unit(lo, hi), the unit rows lo..hi. A diagonal pair's bound is at most 0,
+    and a block whose rows sum to zero gets a NaN centroid, whose NaN bounds
+    compare False: neither is skipped."""
+    sums = np.array([unit(lo, hi).sum(axis=0) for lo, hi in blocks])
     lengths = np.linalg.norm(sums, axis=1, keepdims=True)
     centroids = np.divide(sums, lengths, out=np.full_like(sums, np.nan), where=lengths > 0)
     top = np.empty((len(blocks), len(blocks)))  # top[a, b]: max cos(x in a, c_b)
     low = np.empty(len(blocks))  # low[b]: min cos(y in b, c_b), the cosine of r_b
     for ai, (lo, hi) in enumerate(blocks):
-        cos = normalized[lo:hi] @ centroids.T
+        cos = unit(lo, hi) @ centroids.T
         top[ai], low[ai] = cos.max(axis=0), cos[:, ai].min()
     # near[a, b] = min angle(x in a, c_b) - r_b; arccos is decreasing.
     near = np.arccos(np.clip(top, -1.0, 1.0)) - np.arccos(np.clip(low, -1.0, 1.0))
@@ -203,33 +211,39 @@ def build_graph(
         for lo, hi in blocks:
             norms[lo:hi] = np.linalg.norm(emb[lo:hi], axis=1)
     bad = np.flatnonzero(~((norms > 0.0) & (norms < np.inf)))  # NaN fails both
-    if bad.size:
-        # The squares of a finite nonzero row can under- or overflow: such a
-        # row is divided by its largest absolute entry before its norm is taken.
-        peaks = np.abs(emb[bad]).max(axis=1)
-        refused = bad[~((peaks > 0.0) & (peaks < np.inf))]
-        if refused.size:
-            raise ValueError(f"embedding row {refused[0]} has a zero or non-finite norm")
-        scaled = emb[bad] / peaks[:, None]
-        norms[bad] = np.linalg.norm(scaled, axis=1)  # at least 1: no overflow below
-    normalized = emb / norms[:, None]
-    if bad.size:
-        normalized[bad] = scaled / norms[bad, None]
+    # The squares of a finite nonzero row can under- or overflow: such a row is
+    # divided by its largest absolute entry before its norm is taken.
+    peaks = np.abs(emb[bad]).max(axis=1)
+    refused = bad[~((peaks > 0.0) & (peaks < np.inf))]
+    if refused.size:
+        raise ValueError(f"embedding row {refused[0]} has a zero or non-finite norm")
+    norms[bad] = np.linalg.norm(emb[bad] / peaks[:, None], axis=1)  # at least 1
+
+    def unit(lo: int, hi: int) -> np.ndarray:
+        """Rows lo..hi divided by their norms, a rescued row after its peak, as
+        its norm was taken. A fresh array: the input is never written."""
+        rows = emb[lo:hi] / norms[lo:hi, None]
+        i, j = np.searchsorted(bad, (lo, hi))
+        rows[bad[i:j] - lo] = emb[bad[i:j]] / peaks[i:j, None] / norms[bad[i:j], None]
+        return rows
+
     index_dtype = np.int32 if m < 2**31 else np.int64
 
     # pending[j] collects row band j's entries as (rows, cols, weights): each
     # pair (i, j) adds its entries mirrored, and band j adds its own.
     pending = [[] for _ in blocks]
-    skip = _edgeless_pairs(normalized, blocks, tau)
-    buffers = _strip_buffers(blocks[0][1], normalized.shape[1])
+    skip = _edgeless_pairs(unit, blocks, tau)
+    buffers = _strip_buffers(blocks[0][1], emb.shape[1])
     indptr = np.zeros(m + 1, dtype=np.int64)
-    # The CSR arrays grow in place by one row band at a time: resize reallocs,
-    # and glibc moves a block it mapped on its own by remapping, not copying.
-    # resize runs with refcheck=False, so no view of indices or weights may
-    # exist while they grow; the graph is built from them only at the end.
-    indices, weights = np.empty(0, dtype=index_dtype), np.empty(0)
-    stored, survivors = 0, 0
+    # The CSR arrays start as a CSR_RESERVE reservation, which glibc maps on its
+    # own, and grow in place past it by one row band at a time: resize reallocs,
+    # which glibc serves for a mapped block by remapping, not copying. resize
+    # runs with refcheck=False, so no view of indices or weights may exist while
+    # they grow or shrink; the graph is built from them only at the end.
+    indices, weights = np.empty(CSR_RESERVE, dtype=index_dtype), np.empty(CSR_RESERVE)
+    stored, survivors, filled = 0, 0, 0
     for ai, (lo, hi) in enumerate(blocks):
+        ua = unit(lo, hi)
         band = pending[ai]
         own = np.arange(lo, hi, dtype=index_dtype)
         band.append((own, own, np.ones(hi - lo)))
@@ -243,9 +257,8 @@ def build_graph(
         for bj in range(ai, len(blocks)):
             if skip[ai, bj]:
                 continue
-            rows, cols, w, passed = _pair_edges(
-                normalized, tau, blocks[ai], blocks[bj], buffers
-            )
+            ub = ua if bj == ai else unit(*blocks[bj])
+            rows, cols, w, passed = _pair_edges((ua, ub), tau, blocks[ai], blocks[bj], buffers)
             survivors += passed
             rows, cols = rows.astype(index_dtype), cols.astype(index_dtype)
             stored += 2 * rows.size
@@ -263,13 +276,16 @@ def build_graph(
         rows, cols, w = map(np.concatenate, zip(*band))
         pending[ai] = band = None
         order = np.argsort((rows.astype(np.int64) - lo) * m + cols)
-        start = indices.size
-        indices.resize(start + order.size, refcheck=False)
-        weights.resize(start + order.size, refcheck=False)
-        np.take(cols, order, out=indices[start:], mode="clip")
-        np.take(w, order, out=weights[start:], mode="clip")
+        start, filled = filled, filled + order.size
+        if filled > indices.size:
+            indices.resize(filled, refcheck=False)
+            weights.resize(filled, refcheck=False)
+        np.take(cols, order, out=indices[start:filled], mode="clip")
+        np.take(w, order, out=weights[start:filled], mode="clip")
         indptr[lo + 1 : hi + 1] = np.bincount(rows - lo, minlength=hi - lo)
 
+    indices.resize(filled, refcheck=False)
+    weights.resize(filled, refcheck=False)
     np.cumsum(indptr, out=indptr)
     return NeighborGraph(
         tau=float(tau),

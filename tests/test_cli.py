@@ -18,6 +18,7 @@ from neighborprune.cli import main, method_inputs_help
 from neighborprune.dataset import load_labels, load_matrix, save_labels, save_matrix
 from neighborprune.selectors import SelectorConfig, load_selected, run_selection
 from neighborprune.similarity import build_graph
+from rss import child_peak
 
 
 @pytest.fixture(scope="module")
@@ -356,6 +357,30 @@ class TestPrune:
             assert code == 0
             blobs.append((out / "selected.txt").read_bytes())
         assert blobs[0] == blobs[1] == blobs[2]
+
+
+class TestPeakMemory:
+    def test_graph_method_peak_follows_the_bytes(self, tmp_path):
+        # Above the imports, a prune4rel run holds its inputs, the graph and
+        # scratch the size of a block; 16 MiB covers the scratch, the
+        # selection and the report. A normalized copy of the rows, or CSR
+        # arrays copied as they grow, took the run past it.
+        m, d = 20_000, 32
+        rng = np.random.default_rng(5)
+        save_matrix(tmp_path / "emb.bin", rng.standard_normal((m, d)))
+        np.savetxt(tmp_path / "conf.txt", rng.uniform(0, 1, m), fmt="%.17g")
+        _, imports = child_peak("import neighborprune.cli")
+        child_peak(
+            "import sys; from neighborprune.cli import main; sys.exit(main(sys.argv[1:]))",
+            "prune", "--embeddings", str(tmp_path / "emb.bin"), "--method", "prune4rel",
+            "--tau", "0.5", "--ratio", "0.5", "--confidence-metric", "external",
+            "--confidence-file", str(tmp_path / "conf.txt"), "--out", str(tmp_path / "run"),
+        )
+        report = json.loads((tmp_path / "run" / "report.json").read_text())
+        inputs = (m * d + m) * 8  # float64 rows and confidences
+        graph = (m + 1) * 8 + report["graph"]["edges"] * (4 + 8)
+        assert graph > 4 * 2**20
+        assert report["peak_rss_mb"] - imports <= (inputs + graph) / 2**20 + 16
 
 
 # blake2b-128 of selected.txt and objective_value for every method on the

@@ -14,6 +14,7 @@ from neighborprune.similarity import GuardError, build_graph
 from neighborprune.verify import TREND_SYNTH, TREND_TAU, SynthConfig, generate_synthetic
 
 from invariants import validate_graph
+from rss import child_peak
 
 
 def edge_set(graph):
@@ -103,6 +104,25 @@ class TestBuildGraph:
                 for got, want in zip(graph.neighbors(i), reference.neighbors(i)):
                     np.testing.assert_array_equal(got, want)
         assert reference.neighbors(0)[0].tolist() == [0, 1]
+
+    def test_rescued_rows_in_many_blocks_match_one_block(self):
+        # Rows whose squares under- or overflow, or are subnormal, at the first
+        # and last row of blocks of 4, inside them, and two in one block: the
+        # blocked build equals the one-block build byte for byte, and the
+        # input is not written.
+        emb = np.random.default_rng(14).standard_normal((30, 3))
+        rescued = {0: 1e-200, 3: 1e200, 4: 1e-310, 9: 1e200, 14: 1e-200, 15: 1e-310, 29: 1e200}
+        for row, scale in rescued.items():
+            emb[row] *= scale
+        with np.errstate(over="ignore"):
+            norms = np.linalg.norm(emb, axis=1)
+        assert np.flatnonzero((norms == 0) | (norms == np.inf)).tolist() == list(rescued)
+        before = emb.copy()
+        graph = build_graph(emb, 0.2, block_size=4)
+        assert emb.tobytes() == before.tobytes()
+        assert graph_digest(graph) == graph_digest(build_graph(emb, 0.2, block_size=30))
+        assert all(graph.degrees()[list(rescued)] > 1)
+        validate_graph(graph)
 
     def test_bad_tau_rejected(self):
         with pytest.raises(ValueError, match="tau"):
@@ -348,15 +368,16 @@ class TestColumnStrips:
 
 
 class TestBuildMemory:
-    """A build holds one copy of the graph; its temporaries are bounded by a
-    block, not by the input or the graph."""
+    """A build holds one copy of the graph and no copy of its input; its
+    temporaries are bounded by a block, not by the input or the graph."""
 
     def test_peak_beyond_the_graph_is_bounded(self):
         # Gaussian rows at a dense tau: 8 row bands and a 16.9 MiB graph.
-        # Beyond the graph and the normalized rows, a build holds the pending
-        # mirrored entries, one band's temporaries and its strip buffers:
-        # 10.4 MiB here. Holding the graph both as bands and joined, with an
-        # m x d temporary for the norms, took 21.5 MiB.
+        # Beyond the input and the CSR arrays' capacity (the reservation,
+        # which tracemalloc counts although its pages are never written), a
+        # build holds its norms, the pending mirrored entries, one band's
+        # temporaries and its strip buffers. Holding the graph both as bands
+        # and joined, with an m x d temporary for the norms, took 21.5 MiB.
         emb = np.random.default_rng(3).standard_normal((8000, 32))
         tracemalloc.start()
         try:
@@ -366,9 +387,31 @@ class TestBuildMemory:
             tracemalloc.stop()
         held = graph.indptr.nbytes + graph.indices.nbytes + graph.weights.nbytes
         assert held > 16 * 2**20
-        assert peak - held - emb.nbytes < 16 * 2**20
+        capacity = graph.indptr.nbytes + sum(
+            max(array.nbytes, similarity.CSR_RESERVE * array.itemsize)
+            for array in (graph.indices, graph.weights)
+        )
+        assert peak - capacity - emb.nbytes < 16 * 2**20
         for array in (graph.indices, graph.weights):
             assert array.flags.owndata and array.flags.c_contiguous
+
+    def test_unwritten_reservation_costs_no_rss(self):
+        # The CSR reservation is 99 MiB at int32 indices; a build whose graph
+        # is a few MiB writes only that much of it.
+        code = (
+            "import resource, numpy as np\n"
+            "from neighborprune.similarity import build_graph\n"
+            "emb = np.random.default_rng(3).standard_normal((4000, 32))\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "graph = build_graph(emb, 0.4)\n"
+            "held = graph.indptr.nbytes + graph.indices.nbytes + graph.weights.nbytes\n"
+            "print(before / 1024, held / 2**20)\n"
+        )
+        (line,), peak = child_peak(code)
+        before, held = map(float, line.split())
+        reserved = similarity.CSR_RESERVE * (4 + 8) / 2**20
+        assert 1 < held < 8
+        assert peak - before < held + 16 < reserved / 4
 
 
 def counted_pair_edges(monkeypatch):
@@ -413,9 +456,11 @@ class TestSkippedBlockPairs:
         # computed; the pair 1e-3 rad beyond it is skipped.
         adjacent = [((4 * k, 4 * k + 4), (4 * k + 4, 4 * k + 8)) for k in range(5)]
         assert [p in computed for p in adjacent] == [True, True, False, True, True]
-        normalized, buffers = calls[0][0], calls[0][4]
+        normalized = emb / np.linalg.norm(emb, axis=1)[:, None]
+        buffers = calls[0][4]
         for a, b in skipped:
-            rows = similarity._pair_edges(normalized, tau, a, b, buffers)[0]
+            units = (normalized[a[0] : a[1]], normalized[b[0] : b[1]])
+            rows = similarity._pair_edges(units, tau, a, b, buffers)[0]
             assert rows.size == 0, (a, b)
         # Brute-force all-pairs reference.
         sims = normalized @ normalized.T
