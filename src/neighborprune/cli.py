@@ -245,7 +245,7 @@ def cmd_prune(args) -> int:
 
     # Every file given is parsed, whatever the method reads, and digested.
     readers = {
-        "embeddings": lambda path: load_matrix(path, args.embeddings_format),
+        "embeddings": lambda path: load_matrix(path, args.embeddings_format, as_stored=True),
         "probs": lambda path: load_probabilities(path, args.probs_format),
         "labels": load_labels,
         "scores": load_scores,

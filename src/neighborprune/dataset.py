@@ -3,8 +3,8 @@
 All file-format contracts live here: the "NBPR" binary matrix container
 (shared by embeddings and probability matrices), headerless CSV matrices,
 and the one-value-per-line text formats for labels, auxiliary scores, and
-external confidences. Everything is loaded into plain float64/int64 numpy
-arrays and validated eagerly; non-finite values anywhere are hard errors.
+external confidences. Arrays load as float64/int64 (float32 container rows on
+request) and are validated eagerly; non-finite values anywhere are hard errors.
 """
 
 from __future__ import annotations
@@ -65,33 +65,36 @@ def save_matrix(path: str | Path, matrix: np.ndarray) -> None:
     Path(path).write_bytes(header + payload)
 
 
-def load_matrix(path: str | Path, fmt: str = "binary") -> np.ndarray:
-    """Read a binary container or a headerless CSV matrix. Returns float64."""
+def load_matrix(path: str | Path, fmt: str = "binary", *, as_stored: bool = False) -> np.ndarray:
+    """Read a binary container or a headerless CSV matrix as float64, or with
+    as_stored a container's float32 payload as stored (a CSV stays float64)."""
     path = Path(path)
     if fmt == "binary":
-        return _load_matrix_binary(path)
+        matrix = _load_matrix_binary(path)
+        return matrix if as_stored else matrix.astype(np.float64)
     if fmt == "csv":
         return _load_matrix_csv(path)
     raise ValueError(f"unknown matrix format {fmt!r}")
 
 
 def _load_matrix_binary(path: Path) -> np.ndarray:
-    blob = path.read_bytes()
     header_size = 4 + 4 + 8 + 4
-    if len(blob) < header_size:
-        raise FormatError(f"{path}: truncated header ({len(blob)} bytes)")
-    if blob[:4] != MATRIX_MAGIC:
-        raise FormatError(f"{path}: bad magic {blob[:4]!r}, expected {MATRIX_MAGIC!r}")
-    version, rows, cols = struct.unpack("<IQI", blob[4:header_size])
-    if version != MATRIX_VERSION:
-        raise FormatError(f"{path}: unsupported container version {version}")
-    expected = rows * cols * 4
-    payload = memoryview(blob)[header_size:]  # a view: slicing bytes copies
-    if len(payload) != expected:
-        raise FormatError(
-            f"{path}: payload is {len(payload)} bytes, header implies {expected}"
-        )
-    matrix = np.frombuffer(payload, dtype="<f4").reshape(rows, cols).astype(np.float64)
+    with path.open("rb") as handle:
+        header = handle.read(header_size)
+        if len(header) < header_size:
+            raise FormatError(f"{path}: truncated header ({len(header)} bytes)")
+        if header[:4] != MATRIX_MAGIC:
+            raise FormatError(f"{path}: bad magic {header[:4]!r}, expected {MATRIX_MAGIC!r}")
+        version, rows, cols = struct.unpack("<IQI", header[4:])
+        if version != MATRIX_VERSION:
+            raise FormatError(f"{path}: unsupported container version {version}")
+        expected = rows * cols * 4
+        size = path.stat().st_size - header_size
+        if size == expected:  # checked first: the header sizes the array
+            matrix = np.empty((rows, cols), dtype="<f4")
+            size = handle.readinto(matrix.reshape(-1).view(np.uint8))
+        if size != expected:
+            raise FormatError(f"{path}: payload is {size} bytes, header implies {expected}")
     _require_finite(matrix, str(path))
     return matrix
 

@@ -24,9 +24,9 @@ saturates (nbr_conf near 19, gains near 1e-16) rounding can make a computed
 gain grow by an ulp, and from there the two sequences can part. The
 remaining selectors are the standard score-, margin-, distance-, and
 coverage-based baselines. k-center keeps exact squared distances and uses
-one matrix-vector product per step only to find the rows whose distance can
-drop, so its selections and lowest-index ties are those of recomputing every
-distance, at any BLAS thread count.
+one float32 matrix-vector product per step only to find the rows whose
+distance can drop, so its selections and lowest-index ties are those of
+recomputing every distance, at any BLAS thread count and input dtype.
 
 Every selector reads its budget with resolve_budget, as run_selection does:
 an int is the subset size s, a float is a ratio of the m examples, and
@@ -412,10 +412,11 @@ def select_kcenter_greedy(embeddings: np.ndarray, s: int | float, seed: int) -> 
     current centers (Euclidean), starting from a seeded random center.
 
     Each example keeps its squared distance to the nearest center, always
-    as the exact expression sum((x - c) ** 2), so the argmax and its
-    lowest-index ties do not depend on how a step finds the rows to update.
-    A step computes the cheap expansion ||x||^2 - 2 x.c + ||c||^2 with one
-    matrix-vector product, lowers it by a bound on the rounding error of
+    as the exact float64 expression sum((x - c) ** 2), so the argmax and its
+    lowest-index ties do not depend on how a step finds the rows to update,
+    nor on whether the rows come as float32 or upcast. A step computes the
+    cheap expansion ||x||^2 - 2 x.c + ||c||^2 with one float32 matrix-vector
+    product over float32 rows, lowers it by a bound on the rounding error of
     both expressions, and recomputes the exact distance only on the rows
     where that lower bound does not exceed the kept value. Every other row
     has an exact distance strictly above its kept value, so taking the
@@ -423,39 +424,43 @@ def select_kcenter_greedy(embeddings: np.ndarray, s: int | float, seed: int) -> 
     stored: rounded, it gives a duplicate of a center about +-eps instead
     of an exact 0 and flips ties.
     """
-    emb = np.asarray(embeddings, dtype=np.float64)
+    emb = np.asarray(embeddings)
+    emb = emb.astype(np.promote_types(emb.dtype, np.float32), copy=False)  # float32 or 64
     m, d = emb.shape
     s = resolve_budget(s, m)
     first = int(np.random.default_rng(seed).integers(m))
     selected = [first]
     # Squared distances: same argmax and same ties as true distances.
-    min_sq = np.sum((emb - emb[first]) ** 2, axis=1)
+    min_sq = np.sum((emb - emb[first].astype(np.float64)) ** 2, axis=1)
     min_sq[first] = -np.inf
-    # Rounding bound, with N = ||x||^2 + ||c||^2 and first-order terms only.
-    # The exact expression is within (d + 2)eps/2 * |x - c|^2 <= (d + 2)eps * N
-    # of the true squared distance. In the expansion, the two norms and the
-    # dot product (any summation order, FMA or not) are each within d*eps/2
-    # times the sum of their |terms|, and those sums add up to at most 2N;
-    # its two additions round results of size at most 2N: (d + 2)eps * N in
-    # all.
-    # slack = 4(d + 4)eps covers the sum, 2(d + 2)eps, twice over; the spare
-    # half absorbs the rounding of the filter's own few operations.
-    slack = 4.0 * (d + 4) * np.finfo(np.float64).eps
-    shrunk_nrm = (1.0 - slack) * np.einsum("ij,ij->i", emb, emb)
-    # A norm this large (or NaN) could overflow the expansion: -inf makes
-    # every bound involving that row, or that row as the center, -inf or
-    # NaN, so those distances are always recomputed. Below it, Cauchy-Schwarz
-    # keeps every partial sum of the expansion under half the largest float.
-    shrunk_nrm[~(shrunk_nrm < np.finfo(np.float64).max / 8)] = -np.inf
-    lower = np.empty(m, dtype=np.float64)
+    # Rounding bound, with u = 2**-24, N = ||x||^2 + ||c||^2 and first-order
+    # terms only. The exact expression is within 2(d + 2)u64 N (u64 = 2**-53)
+    # of the true squared distance. In the filter, rounding float64 rows to
+    # float32 moves the expansion by at most 4u N; the two norms and the dot
+    # product (any summation order, FMA or not) are each within d*u times the
+    # sum of their |terms|, which add up to at most 2N; shrinking each norm
+    # rounds twice (2u N) and the two additions round results of size at most
+    # 2N (4u N): (2d + 10)u N in all, which slack = 4(d + 6)u covers twice
+    # over for d up to 2**21. A row whose float32 norm is NaN, below 2**-64
+    # (underflow errs by up to 2**-150 a term) or not below max / 8 (below,
+    # Cauchy-Schwarz keeps every partial sum under half the largest float32)
+    # gets -inf: every bound it enters, as row or center, is then -inf or
+    # NaN, so its distances are always recomputed.
+    slack = 4.0 * (d + 6) * 2.0**-24
+    with np.errstate(over="ignore"):  # a row past float32's range becomes inf
+        rows32 = emb.astype(np.float32, copy=False)
+        norms = np.einsum("ij,ij->i", rows32, rows32)
+    shrunk_nrm = norms * np.float32(1.0 - slack)
+    shrunk_nrm[~((norms >= 2.0**-64) & (norms < np.finfo(np.float32).max / 8))] = -np.inf
+    lower = np.empty(m, dtype=np.float32)
     for _ in range(s - 1):
         nxt = int(np.argmax(min_sq))
         selected.append(nxt)
-        center = emb[nxt]
+        center = emb[nxt].astype(np.float64)
         with np.errstate(over="ignore", invalid="ignore"):
             # lower = (1 - slack)(||x||^2 + ||c||^2) - 2 x.c; scaling c by -2
             # is exact.
-            np.matmul(emb, -2.0 * center, out=lower)
+            np.matmul(rows32, -2.0 * rows32[nxt], out=lower)
             lower += shrunk_nrm
             lower += shrunk_nrm[nxt]
             # NaN fails every comparison, so a NaN bound is recomputed too.

@@ -7,10 +7,10 @@ block pairs only, mirrored. Each pair is screened one strip of STRIP columns
 at a time by a float32 GEMM, at a cut proved to keep every edge; a survivor's
 weight is the float64 dot product of its two unit rows, summed by numpy in its
 fixed pairwise order, so weights depend on no BLAS tile, thread or kernel and
-are symmetric by value. Rows are divided by their norms one block at a time,
-when a pair needs them, so a build holds no normalized copy of its input. Each
-finished row band is written into the CSR arrays, which grow in place, so a
-build holds one copy of the graph.
+are symmetric by value. Rows, float32 or float64, are upcast and divided by
+their norms a block at a time, so a build holds no normalized copy. Each
+finished row band goes into the CSR arrays, which grow in place; an entry
+waits for its mirrored band as its 4-byte position there.
 
 A block pair is skipped when an angle bound proves it edgeless. Block B has a
 unit centroid c_B and radius r_B, the largest angle from c_B to a row of B; by
@@ -187,7 +187,7 @@ def build_graph(
     """Build the exact all-pairs thresholded graph.
 
     Args:
-        embeddings: m x d matrix; every row must be finite and nonzero.
+        embeddings: m x d float32 or float64 matrix of finite nonzero rows.
         tau: similarity threshold in (-1, 1].
         block_size: rows per block for the pairwise products.
         edge_cap: abort with GuardError once the stored-entry count would
@@ -199,21 +199,22 @@ def build_graph(
     """
     if not -1.0 < tau <= 1.0:
         raise ValueError(f"tau must lie in (-1, 1], got {tau}")
-    emb = np.asarray(embeddings, dtype=np.float64)
+    emb = np.asarray(embeddings)
+    emb = emb.astype(np.promote_types(emb.dtype, np.float32), copy=False)  # float32 or 64
     if emb.ndim != 2 or emb.shape[0] < 1:
         raise ValueError(f"embeddings must be a nonempty 2-d matrix, got {emb.shape}")
     m = emb.shape[0]
     size = max(1, block_size)
     blocks = [(lo, min(lo + size, m)) for lo in range(0, m, size)]
-    # Norms one block at a time: np.linalg.norm squares its whole input first.
+    # Norms of upcast blocks: np.linalg.norm squares its whole input, in its dtype.
     norms = np.empty(m)
     with np.errstate(over="ignore"):  # an overflowing norm is handled below
         for lo, hi in blocks:
-            norms[lo:hi] = np.linalg.norm(emb[lo:hi], axis=1)
+            norms[lo:hi] = np.linalg.norm(emb[lo:hi].astype(np.float64, copy=False), axis=1)
     bad = np.flatnonzero(~((norms > 0.0) & (norms < np.inf)))  # NaN fails both
     # The squares of a finite nonzero row can under- or overflow: such a row is
     # divided by its largest absolute entry before its norm is taken.
-    peaks = np.abs(emb[bad]).max(axis=1)
+    peaks = np.abs(emb[bad]).max(axis=1).astype(np.float64)
     refused = bad[~((peaks > 0.0) & (peaks < np.inf))]
     if refused.size:
         raise ValueError(f"embedding row {refused[0]} has a zero or non-finite norm")
@@ -221,32 +222,40 @@ def build_graph(
 
     def unit(lo: int, hi: int) -> np.ndarray:
         """Rows lo..hi divided by their norms, a rescued row after its peak, as
-        its norm was taken. A fresh array: the input is never written."""
+        its norm was taken. A fresh float64 array: the input is never written."""
         rows = emb[lo:hi] / norms[lo:hi, None]
         i, j = np.searchsorted(bad, (lo, hi))
         rows[bad[i:j] - lo] = emb[bad[i:j]] / peaks[i:j, None] / norms[bad[i:j], None]
         return rows
 
     index_dtype = np.int32 if m < 2**31 else np.int64
+    position_dtype = np.int32 if edge_cap < 2**31 else np.int64  # positions < edge_cap
+    row_id = np.min_scalar_type(size - 1)  # in-band rows: 8 or 16 bits are radix-sorted
 
-    # pending[j] collects row band j's entries as (rows, cols, weights): each
-    # pair (i, j) adds its entries mirrored, and band j adds its own.
-    pending = [[] for _ in blocks]
+    # waiting[j] holds the positions of the stored entries of earlier bands
+    # whose columns lie in block j: mirrored, they are entries of band j.
+    waiting = {j: [] for j in range(len(blocks))}
     skip = _edgeless_pairs(unit, blocks, tau)
     buffers = _strip_buffers(blocks[0][1], emb.shape[1])
     indptr = np.zeros(m + 1, dtype=np.int64)
     # The CSR arrays start as a CSR_RESERVE reservation, which glibc maps on its
     # own, and grow in place past it by one row band at a time: resize reallocs,
     # which glibc serves for a mapped block by remapping, not copying. resize
-    # runs with refcheck=False, so no view of indices or weights may exist while
-    # they grow or shrink; the graph is built from them only at the end.
+    # runs with refcheck=False, so no view of indices or weights may outlive the
+    # band that made it; the graph is built from them only at the end.
     indices, weights = np.empty(CSR_RESERVE, dtype=index_dtype), np.empty(CSR_RESERVE)
     stored, survivors, filled = 0, 0, 0
     for ai, (lo, hi) in enumerate(blocks):
         ua = unit(lo, hi)
-        band = pending[ai]
+        # The mirrors of the entries waiting at `at`: an entry (r, c) there has
+        # c in this band, and r is found in indptr, cumulative up to this band.
+        at = np.concatenate([np.empty(0, position_dtype), *waiting.pop(ai)])
+        mirrored = np.searchsorted(indptr[: lo + 1], at, side="right") - 1
         own = np.arange(lo, hi, dtype=index_dtype)
-        band.append((own, own, np.ones(hi - lo)))
+        band = [(np.take(indices, at), mirrored.astype(index_dtype), np.take(weights, at)),
+                (own, own, np.ones(hi - lo))]
+        later = []  # (block, entries) of the pairs after the diagonal one, in order
+        del at, mirrored
         # The self entries count as screen survivors unscreened: a unit row's
         # float32 self-product is within the screen's error bound of 1, so it
         # clears the cut for every tau <= 1.
@@ -267,26 +276,39 @@ def build_graph(
                     f"thresholded graph exceeds the edge cap ({edge_cap} stored "
                     f"entries) at tau={tau}; raise tau or the cap"
                 )
+            if bj == ai:  # the diagonal pair's mirror lies left of the self entries
+                band.insert(1, (cols, rows, w))
+            else:
+                later.append((bj, rows.size))
             band.append((rows, cols, w))
-            pending[bj].append((cols, rows, w))
-        # Row band ai is complete and its pair arrays are let go once joined;
-        # each (row, col) occurs once, so sorting by the combined key gives
-        # the CSR order, taken straight into the grown arrays (mode="clip" as
-        # in _pair_edges).
+        # Row band ai is complete and its pair arrays are let go once joined.
+        # Each row's entries are in column order: the mirrored ones (source
+        # bands in order, each in CSR order), the diagonal pair's two halves
+        # around the self entry, then the later pairs, each in row-major order
+        # strip by strip. So a stable sort by row gives the CSR order, taken
+        # straight into the grown arrays (mode="clip" as in _pair_edges).
         rows, cols, w = map(np.concatenate, zip(*band))
-        pending[ai] = band = None
-        order = np.argsort((rows.astype(np.int64) - lo) * m + cols)
+        band = None
+        order = np.argsort((rows - lo).astype(row_id), kind="stable")
         start, filled = filled, filled + order.size
         if filled > indices.size:
             indices.resize(filled, refcheck=False)
             weights.resize(filled, refcheck=False)
         np.take(cols, order, out=indices[start:filled], mode="clip")
         np.take(w, order, out=weights[start:filled], mode="clip")
-        indptr[lo + 1 : hi + 1] = np.bincount(rows - lo, minlength=hi - lo)
+        indptr[lo + 1 : hi + 1] = start + np.cumsum(np.bincount(rows - lo, minlength=hi - lo))
+        # The later pairs' entries, last in the band, wait as their positions,
+        # one array per pair, each in CSR order.
+        positions = np.empty(order.size, position_dtype)
+        positions[order] = np.arange(start, filled, dtype=position_dtype)
+        end = order.size
+        for bj, n in reversed(later):
+            waiting[bj].append(positions[end - n : end].copy())
+            end -= n
+        del order, positions
 
     indices.resize(filled, refcheck=False)
     weights.resize(filled, refcheck=False)
-    np.cumsum(indptr, out=indptr)
     return NeighborGraph(
         tau=float(tau),
         num_rows=m,

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import hashlib
 import itertools
 import json
@@ -381,6 +382,33 @@ class TestPeakMemory:
         graph = (m + 1) * 8 + report["graph"]["edges"] * (4 + 8)
         assert graph > 4 * 2**20
         assert report["peak_rss_mb"] - imports <= (inputs + graph) / 2**20 + 16
+
+
+class TestPerfbenchSurface:
+    """perfbench, which changes apart from the program, reads these."""
+
+    def test_load_matrix_returns_float64_unless_asked(self, tmp_path):
+        # checks.covering_radius takes radii in the dtype load_matrix(path)
+        # returns, against float64 reference radii.
+        rows = np.random.default_rng(0).standard_normal((5, 3))
+        save_matrix(tmp_path / "m.bin", rows)
+        np.savetxt(tmp_path / "m.csv", rows, delimiter=",")
+        assert load_matrix(tmp_path / "m.bin").dtype == np.float64
+        assert load_matrix(tmp_path / "m.csv", "csv").dtype == np.float64
+        assert load_matrix(tmp_path / "m.bin", as_stored=True).dtype == np.float32
+        assert load_matrix(tmp_path / "m.csv", "csv", as_stored=True).dtype == np.float64
+
+    def test_traced_layers_are_cli_globals(self):
+        # The traced pass wraps each name of spans.CLI_LAYERS in the cli
+        # module's globals, which the CLI resolves at call time.
+        spans = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+        tree = ast.parse(spans.read_text(encoding="utf-8"))
+        (layers,) = [ast.literal_eval(node.value) for node in tree.body
+                     if isinstance(node, ast.Assign)
+                     and [getattr(t, "id", None) for t in node.targets] == ["CLI_LAYERS"]]
+        assert "load_matrix" in layers and "build_graph" in layers
+        for name in layers:
+            assert callable(vars(cli).get(name)), name
 
 
 # blake2b-128 of selected.txt and objective_value for every method on the
@@ -1238,9 +1266,9 @@ class TestOneOwner:
         parsed = []
 
         def recording(load):
-            def read(path, *args):
+            def read(path, *args, **kwargs):
                 parsed.append(str(path))
-                return load(path, *args)
+                return load(path, *args, **kwargs)
             return read
 
         for name in ("load_matrix", "load_probabilities", "load_labels",

@@ -534,6 +534,40 @@ def kcenter_tie_inputs():
     huge[::3] *= 1e160
     yield "overflowing norms", huge, 90
     yield "s = m", rng.standard_normal((150, 4)), 150
+    # float32 rows, which the filter reads as they are (and, upcast, as the
+    # float64 rows rounded to float32).
+    rows32 = rng.standard_normal((50, 16)).astype(np.float32)
+    yield "float32 duplicate rows", rows32[rng.integers(0, 50, 200)], 160
+    # Rows whose float32 squares overflow (entries near 1e18 to 1e20) or
+    # underflow (near 1e-25), whole rows and single entries.
+    extreme = rng.standard_normal((90, 16))
+    extreme[::3] *= 10.0 ** rng.uniform(17.5, 20.0, (30, 1))
+    extreme[1::3] *= 10.0 ** rng.uniform(-27.0, -23.0, (30, 1))
+    extreme[2::6, :4] *= 1e-25
+    yield "float32 squares past its range", extreme.astype(np.float32), 90
+    # Distances to the first center equal in real arithmetic up to one
+    # float32 ulp of the radius, and equal ones from duplicated rows.
+    sphere = rng.standard_normal((60, 8))
+    sphere /= np.linalg.norm(sphere, axis=1)[:, None]
+    sphere *= 1.0 + rng.integers(-2, 3, (60, 1)) * 2.0**-23
+    near = np.vstack([np.zeros((1, 8)), sphere, sphere[:20]]).astype(np.float32)
+    yield "float32 near-equal distances", near, 81
+    # Clusters far from the origin, where the expansion's rounding is large
+    # against the distances it bounds: at norms near 1e3 (a slack too small
+    # skips rows it must update), and at entries near 1e-22, whose float32
+    # squares are subnormal and lose most of their digits.
+    cluster = rng.standard_normal((80, 8))
+    yield "float32 far cluster", (1e3 + cluster).astype(np.float32), 80
+    yield "float32 subnormal squares", (1e-22 * (8.0 + 0.01 * cluster)).astype(np.float32), 80
+    # float64 rows float32 cannot hold: differences below its resolution,
+    # entries past its range, and subnormal float32 squares.
+    fine = 1.0 + rng.integers(0, 4, (80, 6)) * 1e-10
+    yield "differences below float32's resolution", fine, 80
+    past = rng.standard_normal((60, 6))
+    past[::4] *= 1e40
+    past[1::4] *= 1e-50
+    past[2::4, :2] *= 1e-30
+    yield "entries past float32's range", past, 60
 
 
 KCENTER_TIE_INPUTS = {name: (emb, s) for name, emb, s in kcenter_tie_inputs()}
@@ -543,12 +577,14 @@ class TestKCenterTies:
     @pytest.mark.parametrize("name", list(KCENTER_TIE_INPUTS))
     def test_same_sequence_as_the_full_scan(self, name):
         emb, s = KCENTER_TIE_INPUTS[name]
+        # float32 rows, and their float64 upcast, select alike.
+        inputs = [emb, emb.astype(np.float64)] if emb.dtype == np.float32 else [emb]
         for first in (0, 1, emb.shape[0] - 1):
             with np.errstate(over="ignore"):  # squares of the overflowing rows
                 expected = full_scan_kcenter(emb, s, first)
                 seed = seed_starting_at(emb.shape[0], first)
-                got = select_kcenter_greedy(emb, s, seed=seed)
-            assert got == expected
+                for rows in inputs:
+                    assert select_kcenter_greedy(rows, s, seed=seed) == expected
 
     def test_same_sequence_across_blas_thread_counts(self):
         # m=20 000, d=32: OpenBLAS splits this matrix-vector product over

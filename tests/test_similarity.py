@@ -367,6 +367,36 @@ class TestColumnStrips:
         assert graph_digest(graph) == "06b51f234e90ec19eef6ae9ea804f029"
 
 
+def float32_rows(kind: str, m: int) -> np.ndarray:
+    """Gaussian rows, or synth's class-ordered ones, as float32."""
+    if kind == "gaussian":
+        return np.random.default_rng(21).standard_normal((m, 32)).astype(np.float32)
+    config = SynthConfig(seed=8, **(TREND_SYNTH | {"points_per_class": m // 10}))
+    return generate_synthetic(config).embeddings.astype(np.float32)
+
+
+class TestInputDtype:
+    """float32 rows build the graph of their float64 upcast, byte for byte:
+    every float64 value is computed from the rows upcast a block at a time."""
+
+    @pytest.mark.parametrize("kind", ["gaussian", "class_ordered"])
+    @pytest.mark.parametrize("block_size, m", [(4, 240), (64, 1000), (1024, 2500)])
+    @pytest.mark.parametrize("dense", [True, False])
+    def test_float32_rows_build_their_upcast_graph(self, kind, block_size, m, dense):
+        rows = float32_rows(kind, m)
+        tau = (0.3 if dense else 0.5) if kind == "gaussian" else (TREND_TAU - 0.2 if dense else TREND_TAU)
+        before = rows.copy()
+        got = build_graph(rows, tau, block_size=block_size)
+        assert rows.tobytes() == before.tobytes()
+        want = build_graph(rows.astype(np.float64), tau, block_size=block_size)
+        for name in ("indptr", "indices", "weights"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        assert got.block_pairs_skipped == want.block_pairs_skipped
+        assert got.screen_survivors == want.screen_survivors
+        assert got.num_edges > m * (4 if dense else 1)
+
+
 class TestBuildMemory:
     """A build holds one copy of the graph and no copy of its input; its
     temporaries are bounded by a block, not by the input or the graph."""
@@ -394,6 +424,40 @@ class TestBuildMemory:
         assert peak - capacity - emb.nbytes < 16 * 2**20
         for array in (graph.indices, graph.weights):
             assert array.flags.owndata and array.flags.c_contiguous
+
+    def test_waiting_entries_cost_four_bytes_each(self):
+        # 64 row bands of 256 rows at a tau where the entries waiting for
+        # their mirrored bands dominate the scratch: 707 612 of them at most,
+        # against 45 030 entries in the largest band. Beyond the CSR arrays'
+        # capacity (the reservation throughout, as the graph fits in it) a
+        # build holds its norms, the strip buffers, a band's temporaries (its
+        # pair arrays and their join, 32 B an entry, the read-back mirrored
+        # entries and the sort order) and 4 B per waiting position. The
+        # input is made before tracing starts. The peak read 5.9 MiB against
+        # this 6.9 MiB bound; with waiting entries kept as 16 B (rows,
+        # columns, weights) it read 14.5 MiB.
+        m, size, d = 16384, 256, 32
+        emb = np.random.default_rng(3).standard_normal((m, d))
+        tracemalloc.start()
+        try:
+            graph = build_graph(emb, 0.4, block_size=size)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert graph.num_edges < similarity.CSR_RESERVE
+        capacity = graph.indptr.nbytes + similarity.CSR_RESERVE * (4 + 8)
+        # Entries (row < col) of bands up to i whose columns lie after block i.
+        row_block = np.repeat(np.arange(m), graph.degrees()) // size
+        col_block = graph.indices // size
+        upper = row_block < col_block
+        blocks = m // size
+        waiting = np.cumsum(np.bincount(row_block[upper], minlength=blocks)
+                            - np.bincount(col_block[upper], minlength=blocks)).max()
+        band = np.bincount(row_block, minlength=blocks).max()
+        assert waiting > 10 * band
+        strips = sum(b.nbytes for b in similarity._strip_buffers(size, d))
+        bound = m * 8 + strips + 64 * band + 4 * waiting
+        assert peak - capacity < bound
 
     def test_unwritten_reservation_costs_no_rss(self):
         # The CSR reservation is 99 MiB at int32 indices; a build whose graph
