@@ -29,6 +29,7 @@ except ImportError:  # not on Windows
 from . import __version__
 from .dataset import (
     CONFIDENCE_METRICS,
+    ClassCountError,
     FormatError,
     LabelRangeError,
     compute_confidence,
@@ -261,10 +262,6 @@ def cmd_prune(args) -> int:
                 f"--{dest.replace('_', '-')} {values[dest]} holds {len(value)} "
                 f"examples, --embeddings {args.embeddings} holds {m}"
             )
-    confidence = loaded.get("confidence_file")
-    if needs_graph and args.confidence_metric != "external":
-        confidence = compute_confidence(probabilities, args.confidence_metric)
-
     budget = args.size if args.size is not None else args.ratio
     try:
         resolve_budget(budget, m)
@@ -280,15 +277,16 @@ def cmd_prune(args) -> int:
         seed=args.seed,
     )
 
-    graph, graph_build_s = None, 0.0
-    if needs_graph:
-        start = time.perf_counter()
-        graph = build_graph(embeddings, tau, edge_cap=args.max_edges)
-        graph_build_s = time.perf_counter() - start
-        # No graph method reads the rows again: let the selection reuse them.
-        loaded["embeddings"] = embeddings = None
-
+    confidence, graph, graph_build_s = loaded.get("confidence_file"), None, 0.0
     try:
+        if needs_graph and args.confidence_metric != "external":
+            confidence = compute_confidence(probabilities, args.confidence_metric)
+        if needs_graph:
+            start = time.perf_counter()
+            graph = build_graph(embeddings, tau, edge_cap=args.max_edges)
+            graph_build_s = time.perf_counter() - start
+            # No graph method reads the rows again: let the selection reuse them.
+            loaded["embeddings"] = embeddings = None
         report = run_selection(
             config,
             embeddings=embeddings,
@@ -300,6 +298,8 @@ def cmd_prune(args) -> int:
         )
     except LabelRangeError as exc:  # small_loss indexes --probs by --labels
         raise FormatError(f"--labels {args.labels}, --probs {args.probs}: {exc}") from exc
+    except ClassCountError as exc:  # diff_prob and margin read --probs' top two
+        raise FormatError(f"--probs {args.probs}: {exc}") from exc
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

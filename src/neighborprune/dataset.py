@@ -40,6 +40,10 @@ class LabelRangeError(FormatError):
     """A noisy label outside the probability matrix's classes."""
 
 
+class ClassCountError(FormatError):
+    """A probability matrix with fewer classes than a confidence metric needs."""
+
+
 def _require_finite(values: np.ndarray, what: str) -> None:
     if not np.isfinite(values).all():
         bad = int(np.flatnonzero(~np.isfinite(values).reshape(-1))[0])
@@ -88,6 +92,8 @@ def _load_matrix_binary(path: Path) -> np.ndarray:
         version, rows, cols = struct.unpack("<IQI", header[4:])
         if version != MATRIX_VERSION:
             raise FormatError(f"{path}: unsupported container version {version}")
+        if rows == 0 or cols == 0:
+            raise FormatError(f"{path}: empty matrix ({rows} x {cols})")
         expected = rows * cols * 4
         size = path.stat().st_size - header_size
         if size == expected:  # checked first: the header sizes the array
@@ -235,7 +241,7 @@ def compute_confidence(probabilities: np.ndarray, metric: str) -> np.ndarray:
         values = probs.max(axis=1)
     elif metric == "diff_prob":
         if probs.shape[1] < 2:
-            raise ValueError("diff_prob and margin selection require at least 2 classes")
+            raise ClassCountError("diff_prob and margin selection require at least 2 classes")
         top2 = np.sort(probs, axis=1)[:, -2:]
         values = top2[:, 1] - top2[:, 0]
     else:

@@ -97,31 +97,18 @@ class NeighborGraph:
         return int(self.indices.size)
 
 
-def _strip_buffers(rows: int, d: int) -> tuple[np.ndarray, ...]:
-    """One build's scratch, reused by every block pair: the float32 product of a
-    strip and its mask (flat, so a narrower strip's view is contiguous), and
-    the two float64 row gathers of a weight chunk of 512 KiB each."""
-    step = max(1, 2**16 // d)  # survivors per weight chunk
-    cells = rows * min(rows, STRIP)
-    return (np.empty(cells, np.float32), np.empty(cells, bool),
-            np.empty((step, d)), np.empty((step, d)))
-
-
 def _pair_edges(
-    units: tuple[np.ndarray, np.ndarray], tau: float, a: tuple[int, int],
-    b: tuple[int, int], buffers: tuple[np.ndarray, ...],
+    units: tuple[np.ndarray, np.ndarray], tau: float, a: tuple[int, int], b: tuple[int, int]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Edges (row < col only) between block a and block b, b at or after a, given
     the unit rows of both blocks, and how many entries (row < col) passed the
-    float32 screen, strip by strip, computed in the build's buffers (see
-    _strip_buffers).
+    float32 screen, strip by strip.
 
     tau > -1, so only the kept weights need clipping, and only from above.
     """
     ua, ub = units
     d = ua.shape[1]
-    products, masks, left, right = buffers
-    step = left.shape[0]
+    step = max(1, 2**16 // d)  # survivors per weight chunk: gathers of 512 KiB each
     # The cut is (d + 4)*u*1.01 below tau, u = 2**-24: rounding unit rows to
     # float32 moves a cosine by at most 2u, a d-term float32 dot product in any
     # order errs by at most d*u/(1 - d*u), rounding the cut moves it by u, and
@@ -134,11 +121,7 @@ def _pair_edges(
     # r and c count from the start of block a and block b until they are stored.
     for c_lo in range(0, ub.shape[0], STRIP):
         strip = ub[c_lo : c_lo + STRIP].astype(np.float32)
-        shape = (block.shape[0], strip.shape[0])
-        size = shape[0] * shape[1]
-        sims = np.matmul(block, strip.T, out=products[:size].reshape(shape))
-        screened = np.greater_equal(sims, cut, out=masks[:size].reshape(shape))
-        r, c = np.divmod(np.flatnonzero(screened), shape[1])
+        r, c = np.divmod(np.flatnonzero(block @ strip.T >= cut), strip.shape[0])
         c += c_lo
         if a == b:
             upper = c > r
@@ -146,12 +129,9 @@ def _pair_edges(
         survivors += r.size
         w = np.empty(r.size)
         for lo in range(0, r.size, step):
-            n = min(step, r.size - lo)
-            # mode="clip" lets take write into out directly ("raise" copies
-            # first); every index is in range, so the rows are the same.
-            x = np.take(ua, r[lo : lo + n], axis=0, out=left[:n], mode="clip")
-            y = np.take(ub, c[lo : lo + n], axis=0, out=right[:n], mode="clip")
-            np.add.reduce(np.multiply(x, y, out=x), axis=1, out=w[lo : lo + n])
+            x = ua[r[lo : lo + step]]
+            x *= ub[c[lo : lo + step]]
+            np.add.reduce(x, axis=1, out=w[lo : lo + step])
         keep = w >= tau
         rows.append(r[keep] + a[0])
         cols.append(c[keep] + b[0])
@@ -236,7 +216,6 @@ def build_graph(
     # whose columns lie in block j: mirrored, they are entries of band j.
     waiting = {j: [] for j in range(len(blocks))}
     skip = _edgeless_pairs(unit, blocks, tau)
-    buffers = _strip_buffers(blocks[0][1], emb.shape[1])
     indptr = np.zeros(m + 1, dtype=np.int64)
     # The CSR arrays start as a CSR_RESERVE reservation, which glibc maps on its
     # own, and grow in place past it by one row band at a time: resize reallocs,
@@ -267,7 +246,7 @@ def build_graph(
             if skip[ai, bj]:
                 continue
             ub = ua if bj == ai else unit(*blocks[bj])
-            rows, cols, w, passed = _pair_edges((ua, ub), tau, blocks[ai], blocks[bj], buffers)
+            rows, cols, w, passed = _pair_edges((ua, ub), tau, blocks[ai], blocks[bj])
             survivors += passed
             rows, cols = rows.astype(index_dtype), cols.astype(index_dtype)
             stored += 2 * rows.size
@@ -286,7 +265,8 @@ def build_graph(
         # bands in order, each in CSR order), the diagonal pair's two halves
         # around the self entry, then the later pairs, each in row-major order
         # strip by strip. So a stable sort by row gives the CSR order, taken
-        # straight into the grown arrays (mode="clip" as in _pair_edges).
+        # straight into the grown arrays: mode="clip" lets take write into out
+        # directly ("raise" copies first), and every index is in range.
         rows, cols, w = map(np.concatenate, zip(*band))
         band = None
         order = np.argsort((rows - lo).astype(row_id), kind="stable")

@@ -1155,6 +1155,38 @@ class TestHostileInputs:
         assert "row 23 holds label 7" in err and "3 classes" in err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("flag", ["--embeddings", "--probs"])
+    def test_empty_container_is_format_error_naming_the_file(
+        self, synth_dir, tmp_path, capsys, flag
+    ):
+        files = {"--embeddings": str(synth_dir / "embeddings.bin"),
+                 "--probs": str(synth_dir / "probabilities.bin")}
+        empty = tmp_path / "empty.bin"
+        save_matrix(empty, np.empty((0, 5)))
+        files[flag] = str(empty)
+        code = main(["prune", *itertools.chain(*files.items()), "--method", "prune4rel",
+                     "--tau", "0.5", "--size", "1", "--out", str(tmp_path / "run")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith(f"E_FORMAT: {empty}: empty matrix (0 x 5)")
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("route", [["--method", "margin"],
+                                       ["--method", "prune4rel", "--tau", "0.5",
+                                        "--confidence-metric", "diff_prob"]],
+                             ids=["margin", "diff_prob"])
+    def test_one_class_probs_names_the_file(self, synth_dir, tmp_path, capsys, route):
+        probs = tmp_path / "one_class.bin"
+        save_matrix(probs, np.ones((200, 1)))
+        code = main(["prune", "--embeddings", str(synth_dir / "embeddings.bin"),
+                     "--probs", str(probs), *route, "--size", "5",
+                     "--out", str(tmp_path / "run")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith(f"E_FORMAT: --probs {probs}: ")
+        assert "at least 2 classes" in err
+        assert not (tmp_path / "run").exists()
+
     HUGE = "99999999999999999999999"
 
     def test_label_outside_int64_is_format_error(self, synth_dir, tmp_path, capsys):

@@ -49,6 +49,14 @@ class TestMatrixContainer:
         with pytest.raises(FormatError, match=re.escape(f"{path}: empty csv matrix")):
             load_matrix(path, "csv")
 
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+    def test_empty_container_names_the_file(self, tmp_path, shape):
+        path = tmp_path / "m.bin"
+        save_matrix(path, np.empty(shape))
+        message = f"{path}: empty matrix ({shape[0]} x {shape[1]})"
+        with pytest.raises(FormatError, match=re.escape(message)):
+            load_matrix(path, "binary")
+
     def test_csv_bad_float_names_file_and_line(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("1,2\n\n3,x\n")

@@ -425,17 +425,37 @@ class TestBuildMemory:
         for array in (graph.indices, graph.weights):
             assert array.flags.owndata and array.flags.c_contiguous
 
+    def test_strip_temporaries_are_freed_inside_the_strip(self):
+        # test_peak_beyond_the_graph_is_bounded's build. A strip's product,
+        # mask and weight gathers are freed before the band is joined, where
+        # a build peaks: beyond the CSR arrays' capacity and the input it
+        # peaked at 7.0 MiB, and at 10.4 MiB with that scratch held for the
+        # whole build.
+        emb = np.random.default_rng(3).standard_normal((8000, 32))
+        tracemalloc.start()
+        try:
+            graph = build_graph(emb, 0.35)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        capacity = graph.indptr.nbytes + sum(
+            max(array.nbytes, similarity.CSR_RESERVE * array.itemsize)
+            for array in (graph.indices, graph.weights)
+        )
+        assert peak - capacity - emb.nbytes < 8.5 * 2**20
+
     def test_waiting_entries_cost_four_bytes_each(self):
         # 64 row bands of 256 rows at a tau where the entries waiting for
         # their mirrored bands dominate the scratch: 707 612 of them at most,
         # against 45 030 entries in the largest band. Beyond the CSR arrays'
         # capacity (the reservation throughout, as the graph fits in it) a
-        # build holds its norms, the strip buffers, a band's temporaries (its
-        # pair arrays and their join, 32 B an entry, the read-back mirrored
-        # entries and the sort order) and 4 B per waiting position. The
-        # input is made before tracing starts. The peak read 5.9 MiB against
-        # this 6.9 MiB bound; with waiting entries kept as 16 B (rows,
-        # columns, weights) it read 14.5 MiB.
+        # build holds its norms, a strip's temporaries (a float32 product and
+        # its mask, and two float64 gathers of a weight chunk), a band's
+        # temporaries (its pair arrays and their join, 32 B an entry, the
+        # read-back mirrored entries and the sort order) and 4 B per waiting
+        # position. The input is made before tracing starts. The peak read
+        # 4.5 MiB against this 6.9 MiB bound; with waiting entries kept as
+        # 16 B (rows, columns, weights) it read 14.5 MiB.
         m, size, d = 16384, 256, 32
         emb = np.random.default_rng(3).standard_normal((m, d))
         tracemalloc.start()
@@ -455,7 +475,8 @@ class TestBuildMemory:
                             - np.bincount(col_block[upper], minlength=blocks)).max()
         band = np.bincount(row_block, minlength=blocks).max()
         assert waiting > 10 * band
-        strips = sum(b.nbytes for b in similarity._strip_buffers(size, d))
+        cells = size * min(size, similarity.STRIP)
+        strips = cells * 5 + 2 * max(1, 2**16 // d) * d * 8
         bound = m * 8 + strips + 64 * band + 4 * waiting
         assert peak - capacity < bound
 
@@ -513,7 +534,7 @@ class TestSkippedBlockPairs:
         m = emb.shape[0]
         calls = counted_pair_edges(monkeypatch)
         graph = build_graph(emb, tau, block_size=4)
-        computed = {(a, b) for _, _, a, b, _ in calls}
+        computed = {(a, b) for _, _, a, b in calls}
         skipped = [pair for pair in block_pairs(m, 4) if pair not in computed]
         assert len(skipped) == graph.block_pairs_skipped > 0
         # Neighbouring blocks 1e-9 rad either side of arccos(tau) are
@@ -521,10 +542,9 @@ class TestSkippedBlockPairs:
         adjacent = [((4 * k, 4 * k + 4), (4 * k + 4, 4 * k + 8)) for k in range(5)]
         assert [p in computed for p in adjacent] == [True, True, False, True, True]
         normalized = emb / np.linalg.norm(emb, axis=1)[:, None]
-        buffers = calls[0][4]
         for a, b in skipped:
             units = (normalized[a[0] : a[1]], normalized[b[0] : b[1]])
-            rows = similarity._pair_edges(units, tau, a, b, buffers)[0]
+            rows = similarity._pair_edges(units, tau, a, b)[0]
             assert rows.size == 0, (a, b)
         # Brute-force all-pairs reference.
         sims = normalized @ normalized.T
@@ -563,7 +583,7 @@ class TestSkippedBlockPairs:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             graph = build_graph(emb, 0.9, block_size=2)
-        computed = {(a, b) for _, _, a, b, _ in calls}
+        computed = {(a, b) for _, _, a, b in calls}
         assert {((0, 2), (2, 4)), ((0, 2), (4, 6))} <= computed
         assert ((2, 4), (4, 6)) not in computed
         assert graph.block_pairs_skipped == 1
