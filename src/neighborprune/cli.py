@@ -209,8 +209,9 @@ def _add_prune_parser(sub) -> None:
     p.add_argument("--eager", action="store_true", help="disable lazy evaluation")
     p.add_argument("--seed", type=_at_least(0), default=SelectorConfig.seed)
     p.add_argument(
-        "--threads", type=int, default=1,
-        help="no effect; OPENBLAS_NUM_THREADS caps the graph build's BLAS threads",
+        "--threads", type=_at_least(1), default=1,
+        help="threads that compute the graph's block pairs, at most the usable "
+        "CPUs; with more than one, the bundled OpenBLAS runs on one thread",
     )
     p.add_argument("--max-edges", type=_at_least(1), default=DEFAULT_EDGE_CAP)
     p.add_argument("--out", type=_out_dir, required=True, help="output directory")
@@ -283,7 +284,7 @@ def cmd_prune(args) -> int:
             confidence = compute_confidence(probabilities, args.confidence_metric)
         if needs_graph:
             start = time.perf_counter()
-            graph = build_graph(embeddings, tau, edge_cap=args.max_edges)
+            graph = build_graph(embeddings, tau, edge_cap=args.max_edges, workers=args.threads)
             graph_build_s = time.perf_counter() - start
             # No graph method reads the rows again: let the selection reuse them.
             loaded["embeddings"] = embeddings = None

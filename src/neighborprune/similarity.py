@@ -12,6 +12,13 @@ their norms a block at a time, so a build holds no normalized copy. Each
 finished row band goes into the CSR arrays, which grow in place; an entry
 waits for its mirrored band as its 4-byte position there.
 
+Block pairs form a stream in (row block, column block) order, and one assembler
+takes their edges in that order: it alone writes the CSR arrays, so nothing
+depends on which thread computed a pair. build_graph(workers=1), the default,
+computes each pair in the calling thread with BLAS as configured; more workers
+compute pairs on a thread pool, a bounded window ahead of the assembler, while
+numpy's bundled OpenBLAS is pinned to one thread.
+
 A block pair is skipped when an angle bound proves it edgeless. Block B has a
 unit centroid c_B and radius r_B, the largest angle from c_B to a row of B; by
 the triangle inequality every row x of A is at least angle(x, c_B) - r_B from
@@ -24,15 +31,23 @@ cluster, as `synth` writes them, skip pairs; shuffled or Gaussian rows do not.
 
 from __future__ import annotations
 
+import ctypes
+import os
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 DEFAULT_BLOCK_SIZE = 1024
 # Columns per screening GEMM of a block pair: a cache choice, not a bytes one. A
-# 1024 x 512 float32 strip is 2 MiB, so it is screened from cache instead of
-# after a round trip through memory as the whole product.
-STRIP = 512
+# 1024 x 256 float32 strip is 1 MiB, so it is screened from cache instead of
+# after a round trip through memory as the whole product. Two workers screening
+# 512-column strips took a gauss_dense prune 4.6-5.1 MiB above the serial
+# peak, 256-column ones 1.4-2.3 MiB, in the same time.
+STRIP = 256
 # Entries reserved for the CSR arrays at the start of a build: 33 MiB of int32
 # indices, just above glibc's 32 MiB ceiling on its mmap threshold, so glibc
 # maps the block on its own whatever earlier frees did to the threshold, and
@@ -47,6 +62,9 @@ DEFAULT_EDGE_CAP = 2_000_000_000
 # angle 0. The bound adds two such angles and the pair's weight at tau one
 # more: 3e-7 rad at d=32; 1e-5 covers every d up to 50 000.
 ANGLE_MARGIN = 1e-5
+# Block pairs computed ahead of the assembler, per worker thread: a window of
+# 8 pairs kept two workers busy through the band assembly, one of 2 did not.
+PAIRS_PER_WORKER = 4
 
 
 class GuardError(RuntimeError):
@@ -71,6 +89,7 @@ class NeighborGraph:
     block_pairs: int  # block pairs of the build, the diagonal ones included
     block_pairs_skipped: int  # of those, the pairs the angle bound ruled out
     screen_survivors: int  # entries (row <= col) that passed the float32 screen
+    build_workers: int  # threads that computed the block pairs
 
     def neighbors(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         """Neighbor indices and weights of row i (self edge included)."""
@@ -98,15 +117,16 @@ class NeighborGraph:
 
 
 def _pair_edges(
-    units: tuple[np.ndarray, np.ndarray], tau: float, a: tuple[int, int], b: tuple[int, int]
+    units: tuple[np.ndarray, ...], tau: float, a: tuple[int, int], b: tuple[int, int]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Edges (row < col only) between block a and block b, b at or after a, given
-    the unit rows of both blocks, and how many entries (row < col) passed the
-    float32 screen, strip by strip.
+    the unit rows of both blocks and, third if given, block a's unit rows cast
+    to float32 (a build casts them once per band), and how many entries
+    (row < col) passed the float32 screen, strip by strip.
 
     tau > -1, so only the kept weights need clipping, and only from above.
     """
-    ua, ub = units
+    ua, ub, *cast = units
     d = ua.shape[1]
     step = max(1, 2**16 // d)  # survivors per weight chunk: gathers of 512 KiB each
     # The cut is (d + 4)*u*1.01 below tau, u = 2**-24: rounding unit rows to
@@ -116,7 +136,7 @@ def _pair_edges(
     # 1.01 covers 1/(1 - d*u) up to d = 160 000, and wider rows are cut 2 below
     # tau. So every pair whose float64 weight reaches tau passes the screen.
     cut = np.float32(tau - ((d + 4) * 2.0**-24 * 1.01 if d <= 160_000 else 2.0))
-    block = ua.astype(np.float32)
+    block = cast[0] if cast else ua.astype(np.float32)
     rows, cols, weights, survivors = [], [], [], 0
     # r and c count from the start of block a and block b until they are stored.
     for c_lo in range(0, ub.shape[0], STRIP):
@@ -157,14 +177,88 @@ def _edgeless_pairs(unit, blocks: list, tau: float) -> np.ndarray:
     return np.maximum(near, near.T) > np.arccos(tau) + ANGLE_MARGIN
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on macOS or Windows
+        return os.cpu_count() or 1
+
+
+def _openblas():
+    """The (getter, setter) of the thread count of the OpenBLAS that numpy's
+    wheel bundles, called through ctypes as threadpoolctl does, or None."""
+    root = Path(np.__file__).parent
+    for path in sorted(root.parent.glob("numpy.libs/*openblas*")) + sorted(
+        root.glob(".dylibs/*openblas*")
+    ):
+        try:
+            lib = ctypes.CDLL(str(path))  # the loaded library, not a second copy
+            get = lib.scipy_openblas_get_num_threads64_
+            put = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        put.argtypes, put.restype = [ctypes.c_int], None
+        return get, put
+    return None
+
+
+@contextmanager
+def _in_order(compute, tasks, workers: int, blas):
+    """An iterator over compute(task) for tasks, in order. One worker computes
+    each result in this thread when it is asked for. More run on a thread pool
+    at most workers * PAIRS_PER_WORKER tasks ahead of the consumer, with BLAS
+    pinned to one thread by blas, OpenBLAS's (getter, setter). Leaving the
+    context cancels the tasks not started, waits for the running ones and
+    restores the BLAS thread count."""
+    if workers == 1:
+        yield map(compute, tasks)
+        return
+    get, put = blas
+    before = get()
+    ahead = deque()
+
+    def results():
+        for task in tasks:
+            ahead.append(pool.submit(compute, task))
+            if len(ahead) == workers * PAIRS_PER_WORKER:
+                yield ahead.popleft().result()
+        while ahead:
+            yield ahead.popleft().result()
+
+    put(1)
+    try:
+        with ThreadPoolExecutor(workers) as pool:
+            try:
+                yield results()
+            finally:
+                for future in ahead:
+                    future.cancel()
+    finally:
+        put(before)
+
+
 def build_graph(
     embeddings: np.ndarray,
     tau: float,
     *,
     block_size: int = DEFAULT_BLOCK_SIZE,
     edge_cap: int = DEFAULT_EDGE_CAP,
+    workers: int = 1,
 ) -> NeighborGraph:
     """Build the exact all-pairs thresholded graph.
+
+    Block pairs are computed in (row block, column block) order, and one
+    assembler, in the calling thread, takes their edges in that order into the
+    CSR arrays. So the bytes, screen_survivors and the pair at which the guard
+    trips do not depend on workers. With workers > 1, min(workers, the usable
+    CPUs, the pairs to compute) threads compute pairs up to PAIRS_PER_WORKER
+    each ahead of the assembler, with numpy's bundled OpenBLAS pinned to one
+    thread while they run (its count is restored after); where that OpenBLAS
+    is not found, one worker runs. A tripped guard can hold, past the cap, the
+    edges of the pairs computed ahead: up to 24 B per entry that passed the
+    screen, 24 MiB for a 1 024 x 1 024 pair at a tau that keeps every entry.
 
     Args:
         embeddings: m x d float32 or float64 matrix of finite nonzero rows.
@@ -172,13 +266,16 @@ def build_graph(
         block_size: rows per block for the pairwise products.
         edge_cap: abort with GuardError once the stored-entry count would
             exceed this bound.
+        workers: threads asked for to compute block pairs, at least 1.
 
     Raises:
-        ValueError: a row that is zero or not finite, or bad tau.
+        ValueError: a row that is zero or not finite, bad tau or bad workers.
         GuardError: the thresholded graph would exceed edge_cap entries.
     """
     if not -1.0 < tau <= 1.0:
         raise ValueError(f"tau must lie in (-1, 1], got {tau}")
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     emb = np.asarray(embeddings)
     emb = emb.astype(np.promote_types(emb.dtype, np.float32), copy=False)  # float32 or 64
     if emb.ndim != 2 or emb.shape[0] < 1:
@@ -212,10 +309,30 @@ def build_graph(
     position_dtype = np.int32 if edge_cap < 2**31 else np.int64  # positions < edge_cap
     row_id = np.min_scalar_type(size - 1)  # in-band rows: 8 or 16 bits are radix-sorted
 
+    skip = _edgeless_pairs(unit, blocks, tau)
+    computed = [np.flatnonzero(~skip[ai, ai:]) + ai for ai in range(len(blocks))]
+    workers = min(workers, _usable_cpus(), sum(map(len, computed)))
+    blas = _openblas() if workers > 1 else None
+    workers = workers if blas else 1
+
+    def tasks():
+        """The pairs to compute in order, each with its band's unit rows as
+        float64 and float32, made once per band."""
+        for ai, (lo, hi) in enumerate(blocks):
+            ua = unit(lo, hi)
+            band = ua, ua.astype(np.float32)
+            for bj in computed[ai]:
+                yield ai, bj, band
+
+    def pair(task):
+        ai, bj, (ua, block) = task
+        ub = ua if bj == ai else unit(*blocks[bj])
+        rows, cols, w, passed = _pair_edges((ua, ub, block), tau, blocks[ai], blocks[bj])
+        return rows.astype(index_dtype), cols.astype(index_dtype), w, passed
+
     # waiting[j] holds the positions of the stored entries of earlier bands
     # whose columns lie in block j: mirrored, they are entries of band j.
     waiting = {j: [] for j in range(len(blocks))}
-    skip = _edgeless_pairs(unit, blocks, tau)
     indptr = np.zeros(m + 1, dtype=np.int64)
     # The CSR arrays start as a CSR_RESERVE reservation, which glibc maps on its
     # own, and grow in place past it by one row band at a time: resize reallocs,
@@ -224,68 +341,66 @@ def build_graph(
     # band that made it; the graph is built from them only at the end.
     indices, weights = np.empty(CSR_RESERVE, dtype=index_dtype), np.empty(CSR_RESERVE)
     stored, survivors, filled = 0, 0, 0
-    for ai, (lo, hi) in enumerate(blocks):
-        ua = unit(lo, hi)
-        # The mirrors of the entries waiting at `at`: an entry (r, c) there has
-        # c in this band, and r is found in indptr, cumulative up to this band.
-        at = np.concatenate([np.empty(0, position_dtype), *waiting.pop(ai)])
-        mirrored = np.searchsorted(indptr[: lo + 1], at, side="right") - 1
-        own = np.arange(lo, hi, dtype=index_dtype)
-        band = [(np.take(indices, at), mirrored.astype(index_dtype), np.take(weights, at)),
-                (own, own, np.ones(hi - lo))]
-        later = []  # (block, entries) of the pairs after the diagonal one, in order
-        del at, mirrored
-        # The self entries count as screen survivors unscreened: a unit row's
-        # float32 self-product is within the screen's error bound of 1, so it
-        # clears the cut for every tau <= 1.
-        stored += hi - lo
-        survivors += hi - lo
-        # Block pairs run in order, one GEMM each (BLAS threads the product);
-        # the guard stops at the first pair that takes the count over the cap.
-        for bj in range(ai, len(blocks)):
-            if skip[ai, bj]:
-                continue
-            ub = ua if bj == ai else unit(*blocks[bj])
-            rows, cols, w, passed = _pair_edges((ua, ub), tau, blocks[ai], blocks[bj])
-            survivors += passed
-            rows, cols = rows.astype(index_dtype), cols.astype(index_dtype)
-            stored += 2 * rows.size
-            if stored > edge_cap:
-                raise GuardError(
-                    f"thresholded graph exceeds the edge cap ({edge_cap} stored "
-                    f"entries) at tau={tau}; raise tau or the cap"
-                )
-            if bj == ai:  # the diagonal pair's mirror lies left of the self entries
-                band.insert(1, (cols, rows, w))
-            else:
-                later.append((bj, rows.size))
-            band.append((rows, cols, w))
-        # Row band ai is complete and its pair arrays are let go once joined.
-        # Each row's entries are in column order: the mirrored ones (source
-        # bands in order, each in CSR order), the diagonal pair's two halves
-        # around the self entry, then the later pairs, each in row-major order
-        # strip by strip. So a stable sort by row gives the CSR order, taken
-        # straight into the grown arrays: mode="clip" lets take write into out
-        # directly ("raise" copies first), and every index is in range.
-        rows, cols, w = map(np.concatenate, zip(*band))
-        band = None
-        order = np.argsort((rows - lo).astype(row_id), kind="stable")
-        start, filled = filled, filled + order.size
-        if filled > indices.size:
-            indices.resize(filled, refcheck=False)
-            weights.resize(filled, refcheck=False)
-        np.take(cols, order, out=indices[start:filled], mode="clip")
-        np.take(w, order, out=weights[start:filled], mode="clip")
-        indptr[lo + 1 : hi + 1] = start + np.cumsum(np.bincount(rows - lo, minlength=hi - lo))
-        # The later pairs' entries, last in the band, wait as their positions,
-        # one array per pair, each in CSR order.
-        positions = np.empty(order.size, position_dtype)
-        positions[order] = np.arange(start, filled, dtype=position_dtype)
-        end = order.size
-        for bj, n in reversed(later):
-            waiting[bj].append(positions[end - n : end].copy())
-            end -= n
-        del order, positions
+    with _in_order(pair, tasks(), workers, blas) as results:
+        for ai, (lo, hi) in enumerate(blocks):
+            # The mirrors of the entries waiting at `at`: an entry (r, c) there has
+            # c in this band, and r is found in indptr, cumulative up to this band.
+            at = np.concatenate([np.empty(0, position_dtype), *waiting.pop(ai)])
+            mirrored = np.searchsorted(indptr[: lo + 1], at, side="right") - 1
+            own = np.arange(lo, hi, dtype=index_dtype)
+            band = [(np.take(indices, at), mirrored.astype(index_dtype), np.take(weights, at)),
+                    (own, own, np.ones(hi - lo))]
+            later = []  # (block, entries) of the pairs after the diagonal one, in order
+            del at, mirrored
+            # The self entries count as screen survivors unscreened: a unit row's
+            # float32 self-product is within the screen's error bound of 1, so it
+            # clears the cut for every tau <= 1.
+            stored += hi - lo
+            survivors += hi - lo
+            # The guard stops at the first pair, in order, that takes the count
+            # over the cap, whichever thread computed it.
+            for bj in computed[ai]:
+                rows, cols, w, passed = next(results)
+                survivors += passed
+                stored += 2 * rows.size
+                if stored > edge_cap:
+                    (a0, a1), (b0, b1) = blocks[ai], blocks[bj]
+                    raise GuardError(
+                        f"thresholded graph exceeds the edge cap ({edge_cap} stored "
+                        f"entries) at tau={tau}, at the block pair of rows {a0}..{a1 - 1} "
+                        f"and {b0}..{b1 - 1}; raise tau or the cap"
+                    )
+                if bj == ai:  # the diagonal pair's mirror lies left of the self entries
+                    band.insert(1, (cols, rows, w))
+                else:
+                    later.append((bj, rows.size))
+                band.append((rows, cols, w))
+            # Row band ai is complete and its pair arrays are let go once joined.
+            # Each row's entries are in column order: the mirrored ones (source
+            # bands in order, each in CSR order), the diagonal pair's two halves
+            # around the self entry, then the later pairs, each in row-major order
+            # strip by strip. So a stable sort by row gives the CSR order, taken
+            # straight into the grown arrays: mode="clip" lets take write into out
+            # directly ("raise" copies first), and every index is in range.
+            rows, cols, w = map(np.concatenate, zip(*band))
+            band = None
+            order = np.argsort((rows - lo).astype(row_id), kind="stable")
+            start, filled = filled, filled + order.size
+            if filled > indices.size:
+                indices.resize(filled, refcheck=False)
+                weights.resize(filled, refcheck=False)
+            np.take(cols, order, out=indices[start:filled], mode="clip")
+            np.take(w, order, out=weights[start:filled], mode="clip")
+            indptr[lo + 1 : hi + 1] = start + np.cumsum(np.bincount(rows - lo, minlength=hi - lo))
+            # The later pairs' entries, last in the band, wait as their positions,
+            # one array per pair, each in CSR order.
+            positions = np.empty(order.size, position_dtype)
+            positions[order] = np.arange(start, filled, dtype=position_dtype)
+            end = order.size
+            for bj, n in reversed(later):
+                waiting[bj].append(positions[end - n : end].copy())
+                end -= n
+            del order, positions
 
     indices.resize(filled, refcheck=False)
     weights.resize(filled, refcheck=False)
@@ -298,4 +413,5 @@ def build_graph(
         block_pairs=len(blocks) * (len(blocks) + 1) // 2,
         block_pairs_skipped=int(np.count_nonzero(skip)) // 2,
         screen_survivors=survivors,
+        build_workers=workers,
     )

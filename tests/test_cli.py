@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from neighborprune import cli
+from neighborprune import similarity
 from neighborprune import selectors as selectors_mod
 from neighborprune import verify as verify_mod
 from neighborprune.cli import main, method_inputs_help
@@ -315,6 +316,29 @@ class TestPrune:
         graph = json.loads((tmp_path / "run" / "report.json").read_text())["graph"]
         upper = (graph["edges"] + 200) // 2
         assert graph["edges"] > 200 and graph["screen_survivors"] >= upper
+
+    def test_report_records_the_build_workers(self, tmp_path):
+        # 2 500 rows make 6 block pairs, enough work for two workers; with
+        # --threads 1 (the default) one computes them all.
+        rng = np.random.default_rng(4)
+        save_matrix(tmp_path / "emb.bin", rng.standard_normal((2500, 8)))
+        np.savetxt(tmp_path / "conf.txt", rng.uniform(0, 1, 2500), fmt="%.17g")
+        two = min(2, similarity._usable_cpus()) if similarity._openblas() else 1
+        selected = []
+        for threads, workers in ((None, 1), ("2", two)):
+            out = tmp_path / f"run{threads}"
+            code = main(
+                ["prune", "--embeddings", str(tmp_path / "emb.bin"), "--method", "prune4rel",
+                 "--tau", "0.6", "--confidence-metric", "external", "--confidence-file",
+                 str(tmp_path / "conf.txt"), "--ratio", "0.1", "--out", str(out)]
+                + (["--threads", threads] if threads else [])
+            )
+            assert code == 0
+            report = json.loads((out / "report.json").read_text())
+            assert list(report["graph"])[-2:] == ["screen_survivors", "build_workers"]
+            assert report["graph"]["build_workers"] == workers
+            selected.append((out / "selected.txt").read_bytes())
+        assert selected[0] == selected[1]
 
     def test_edge_cap_is_guard_error(self, synth_dir, tmp_path, capsys):
         code = run_prune(
@@ -834,6 +858,8 @@ BAD_FLAG_VALUES = [
     (["prune", "--method", "kcenter_greedy", "--seed", "-1"], "--seed"),
     (["prune", "--method", "prune4rel", "--tau", "0.5", "--max-edges", "0"],
      "--max-edges"),
+    (["prune", "--method", "prune4rel", "--tau", "0.5", "--threads", "0"], "--threads"),
+    (["prune", "--method", "prune4rel", "--tau", "0.5", "--threads", "-2"], "--threads"),
     (["verify", "--seed", "-1"], "--seed"),
     (["synth", "--seed", "-1"], "--seed"),
 ]

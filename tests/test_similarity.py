@@ -2,6 +2,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -305,7 +306,7 @@ def strip_crossing_input():
 
 
 class TestColumnStrips:
-    """Each block pair is screened in column strips of 512; the bytes depend
+    """Each block pair is screened in column strips of STRIP; the bytes depend
     neither on the strip width nor on any BLAS setting."""
 
     def test_strip_crossing_bytes_are_pinned(self):
@@ -591,3 +592,121 @@ class TestSkippedBlockPairs:
         assert [graph.neighbors(i)[0].tolist() for i in range(6)] == [
             [0], [1], [2, 3], [2, 3], [4, 5], [4, 5],
         ]
+
+
+OPENBLAS = similarity._openblas()
+needs_openblas = pytest.mark.skipif(
+    OPENBLAS is None, reason="numpy's bundled OpenBLAS not found: builds run one worker"
+)
+
+
+@pytest.fixture
+def three_cpus(monkeypatch):
+    """Builds may run up to three workers, more than some hosts have cores,
+    and BLAS starts at three threads, so a build that fails to restore it
+    after pinning it to one is seen."""
+    monkeypatch.setattr(similarity, "_usable_cpus", lambda: 3)
+    if OPENBLAS is None:
+        yield None
+        return
+    get, put = OPENBLAS
+    before = get()
+    put(3)
+    try:
+        yield get()
+    finally:
+        put(before)
+
+
+class TestWorkers:
+    """Block pairs computed on worker threads are assembled in pair order, so
+    the bytes, the screen count and the guard's pair are those of one worker,
+    and BLAS runs on one thread only while the workers run."""
+
+    @pytest.mark.parametrize("kind", ["gaussian", "class_ordered"])
+    @pytest.mark.parametrize("block_size, m", [(4, 240), (64, 1000), (1024, 2500)])
+    @pytest.mark.parametrize("dense", [True, False])
+    def test_bytes_do_not_depend_on_workers(self, three_cpus, kind, block_size, m, dense):
+        rows = float32_rows(kind, m)
+        tau = (0.3 if dense else 0.5) if kind == "gaussian" else (TREND_TAU - 0.2 if dense else TREND_TAU)
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # threads interleave often
+        try:
+            graphs = [build_graph(rows, tau, block_size=block_size, workers=w) for w in (1, 2, 3)]
+        finally:
+            sys.setswitchinterval(switch)
+        want = graphs[0]
+        for workers, graph in zip((1, 2, 3), graphs):
+            assert graph.build_workers == (workers if OPENBLAS else 1)
+            assert graph_digest(graph) == graph_digest(want), workers
+            assert graph.indices.dtype == want.indices.dtype
+            assert graph.screen_survivors == want.screen_survivors
+            assert graph.block_pairs_skipped == want.block_pairs_skipped
+        if kind == "class_ordered" and block_size <= 64:  # a block within a class
+            assert want.block_pairs_skipped > 0
+
+    @needs_openblas
+    def test_blas_is_pinned_while_workers_run_and_restored(self, three_cpus, monkeypatch):
+        get, _ = OPENBLAS
+        seen = []
+        pair_edges = similarity._pair_edges
+
+        def counted(*args):
+            seen.append(get())
+            return pair_edges(*args)
+
+        monkeypatch.setattr(similarity, "_pair_edges", counted)
+        emb = np.random.default_rng(3).standard_normal((250, 8))
+        threads = threading.active_count()
+        graph = build_graph(emb, 0.3, block_size=100, workers=2)
+        assert graph.build_workers == 2 and len(seen) == 6
+        assert set(seen) == {1}
+        assert get() == three_cpus == 3
+        assert threading.active_count() == threads
+        seen.clear()
+        build_graph(emb, 0.3, block_size=100)  # one worker leaves BLAS alone
+        assert set(seen) == {3}
+
+    @needs_openblas
+    @pytest.mark.parametrize("tau, cap, pair", [
+        (0.3, None, "rows 200..249 and 200..249"),  # the last pair, as counted
+        (-0.9, 1000, "rows 0..99 and 0..99"),  # the first pair alone passes the cap
+    ])
+    def test_guard_trips_at_the_serial_pair(self, three_cpus, tau, cap, pair):
+        # 250 rows in blocks of 100 make 6 block pairs, none skipped.
+        emb = np.random.default_rng(3).standard_normal((250, 8))
+        cap = cap or build_graph(emb, tau, block_size=100).num_edges - 1
+        get, _ = OPENBLAS
+        threads = threading.active_count()
+        messages = []
+        for workers in (1, 2, 3):
+            with pytest.raises(GuardError, match="edge cap") as info:
+                build_graph(emb, tau, block_size=100, edge_cap=cap, workers=workers)
+            messages.append(str(info.value))
+            assert threading.active_count() == threads, workers
+            assert get() == three_cpus, workers
+        assert messages[0] == messages[1] == messages[2]
+        assert pair in messages[0]
+
+    def test_workers_are_capped_at_the_cpus_and_the_pairs(self, three_cpus, monkeypatch):
+        # The pool is recorded, not started, at the size asked for.
+        asked = []
+        pool = similarity.ThreadPoolExecutor
+
+        def recorded(max_workers):
+            asked.append(max_workers)
+            return pool(min(max_workers, 3))
+
+        monkeypatch.setattr(similarity, "ThreadPoolExecutor", recorded)
+        emb = np.random.default_rng(4).standard_normal((300, 8))
+        many = build_graph(emb, 0.3, block_size=64, workers=10**6)  # 15 pairs
+        few = build_graph(emb, 0.3, block_size=150, workers=10**6)  # 3 pairs
+        one = build_graph(emb, 0.3, workers=10**6)  # 1 pair: no pool
+        if OPENBLAS is None:
+            assert asked == [] and many.build_workers == few.build_workers == 1
+        else:
+            assert asked == [3, 3] and (many.build_workers, few.build_workers) == (3, 3)
+        assert one.build_workers == 1
+        assert graph_digest(many) == graph_digest(few) == graph_digest(one)
+        with pytest.raises(ValueError, match="workers"):
+            build_graph(emb, 0.3, workers=0)
